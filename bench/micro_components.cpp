@@ -43,7 +43,16 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(128 << 10)->Arg(1 << 20);
+// The sizes the jobs hash: a partitioner key, the fold threshold, a
+// small-split segment, a 128 KB chunk, a 256 KiB DFS block, and 1 MiB.
+BENCHMARK(BM_Crc32)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(4 << 10)
+    ->Arg(33 << 10)
+    ->Arg(128 << 10)
+    ->Arg(256 << 10)
+    ->Arg(1 << 20);
 
 void BM_CompressShuffleSegment(benchmark::State& state) {
   // A realistic sorted-segment payload (shared key prefixes).

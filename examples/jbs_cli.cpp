@@ -35,6 +35,14 @@ struct CliOptions {
   bool compress = false;
 };
 
+bool KnownShuffle(const std::string& name) {
+  for (const char* known :
+       {"local", "http", "http-jvm", "jbs-tcp", "jbs-rdma"}) {
+    if (name == known) return true;
+  }
+  return false;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -69,6 +77,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       if (!v) return false;
       options->shuffle = v;
+      if (!KnownShuffle(options->shuffle)) {
+        std::fprintf(stderr, "unknown shuffle: %s\n", v);
+        return false;
+      }
     } else if (arg == "--compress") {
       options->compress = true;
     } else {
@@ -106,7 +118,7 @@ ShuffleChoice MakeShuffle(const std::string& name,
     options.transport = shuffle::TransportKind::kRdma;
     choice.plugin = std::make_unique<shuffle::JbsShufflePlugin>(options);
     choice.description = "JBS over SoftRdma verbs";
-  } else {
+  } else {  // jbs-tcp; ParseArgs rejected every other name
     choice.plugin = std::make_unique<shuffle::JbsShufflePlugin>();
     choice.description = "JBS over TCP (epoll)";
   }

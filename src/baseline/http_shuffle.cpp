@@ -55,6 +55,7 @@ HttpShuffleServer::HttpShuffleServer(Options options)
   errors_c_ = metrics_->GetCounter("shuffle_serve_errors_total", base);
   request_latency_ms_h_ =
       metrics_->GetHistogram("shuffle_request_latency_ms", base);
+  stats_base_ = {requests_c_->value(), bytes_served_c_->value()};
 }
 
 MetricLabels HttpShuffleServer::BaseLabels() const {
@@ -105,8 +106,8 @@ void HttpShuffleServer::Stop() {
 
 mr::ShuffleServer::Stats HttpShuffleServer::stats() const {
   Stats out;
-  out.requests = requests_c_->value();
-  out.bytes_served = bytes_served_c_->value();
+  out.requests = requests_c_->value() - stats_base_.requests;
+  out.bytes_served = bytes_served_c_->value() - stats_base_.bytes_served;
   return out;
 }
 
@@ -239,6 +240,8 @@ MofCopierClient::MofCopierClient(Options options)
   spills_c_ = metrics_->GetCounter("baseline_copier_spills_total", base);
   fetch_latency_ms_h_ =
       metrics_->GetHistogram("shuffle_fetch_latency_ms", base);
+  stats_base_ = {fetches_c_->value(), bytes_fetched_c_->value(),
+                 connections_opened_c_->value()};
 }
 
 MofCopierClient::~MofCopierClient() = default;
@@ -253,9 +256,10 @@ MetricLabels MofCopierClient::BaseLabels() const {
 
 mr::ShuffleClient::Stats MofCopierClient::stats() const {
   Stats out;
-  out.fetches = fetches_c_->value();
-  out.bytes_fetched = bytes_fetched_c_->value();
-  out.connections_opened = connections_opened_c_->value();
+  out.fetches = fetches_c_->value() - stats_base_.fetches;
+  out.bytes_fetched = bytes_fetched_c_->value() - stats_base_.bytes_fetched;
+  out.connections_opened =
+      connections_opened_c_->value() - stats_base_.connections_opened;
   return out;
 }
 

@@ -99,6 +99,9 @@ class HttpShuffleServer final : public mr::ShuffleServer {
   MetricCounter* bytes_served_c_ = nullptr;
   MetricCounter* errors_c_ = nullptr;
   MetricHistogram* request_latency_ms_h_ = nullptr;
+  // Counter values at construction: the registry may be shared with
+  // earlier servers, and stats() reports this server's work only.
+  Stats stats_base_;
 };
 
 class MofCopierClient final : public mr::ShuffleClient {
@@ -158,6 +161,9 @@ class MofCopierClient final : public mr::ShuffleClient {
   MetricCounter* fetch_errors_c_ = nullptr;
   MetricCounter* spills_c_ = nullptr;
   MetricHistogram* fetch_latency_ms_h_ = nullptr;
+  // Counter values at construction: the registry may be shared with
+  // earlier clients, and stats() reports this client's work only.
+  Stats stats_base_;
 };
 
 }  // namespace jbs::baseline

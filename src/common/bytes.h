@@ -35,7 +35,12 @@ std::optional<int64_t> GetVarint64(std::span<const uint8_t> data,
 /// Number of bytes PutVarint64 would emit.
 size_t VarintSize(int64_t v);
 
-/// CRC32 (IEEE 802.3 polynomial, table-driven).
+/// CRC32 (IEEE 802.3 polynomial, reflected 0xEDB88320). `seed` is the
+/// CRC of the bytes before `data`, so Crc32(b, Crc32(a)) is the CRC of a
+/// followed by b.
+/// Inputs of 64 bytes or more fold 64 bytes per step with PCLMULQDQ on
+/// x86-64 CPUs that have it; everything else takes a table lookup per
+/// byte. Both paths return identical values.
 uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed = 0);
 
 inline std::span<const uint8_t> AsBytes(const std::string& s) {

@@ -131,6 +131,7 @@ MofSupplier::MofSupplier(Options options)
   shed_datacache_c_ = metrics_->GetCounter("jbs_supplier_shed_total",
                                            shed_labels("datacache"));
   queue_depth_h_ = metrics_->GetHistogram("jbs_mofsupplier_queue_depth", base);
+  stats_base_ = {requests_c_->value(), bytes_served_c_->value()};
 }
 
 uint32_t MofSupplier::ChunkDataCrc(const FetchRequest& request,
@@ -319,8 +320,8 @@ void MofSupplier::Stop() {
 
 mr::ShuffleServer::Stats MofSupplier::stats() const {
   Stats out;
-  out.requests = requests_c_->value();
-  out.bytes_served = bytes_served_c_->value();
+  out.requests = requests_c_->value() - stats_base_.requests;
+  out.bytes_served = bytes_served_c_->value() - stats_base_.bytes_served;
   return out;
 }
 

@@ -400,6 +400,9 @@ class MofSupplier final : public mr::ShuffleServer {
   // to the owned registry when options don't share one).
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
+  // Counter values at construction: the registry may be shared with
+  // earlier suppliers, and stats() reports this supplier's work only.
+  Stats stats_base_;
   MetricCounter* requests_c_ = nullptr;
   MetricCounter* bytes_served_c_ = nullptr;
   MetricCounter* batches_c_ = nullptr;

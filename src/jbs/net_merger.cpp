@@ -91,6 +91,8 @@ NetMerger::NetMerger(Options options)
       metrics_->GetCounter("jbs_netmerger_chunks_compressed_total", base);
   failovers_c_ = metrics_->GetCounter("jbs_netmerger_failovers_total", base);
   pushback_c_ = metrics_->GetCounter("jbs_netmerger_pushback_total", base);
+  stats_base_ = {fetches_c_->value(), bytes_fetched_c_->value(),
+                 connections_opened_c_->value()};
   health_ = std::make_unique<NodeHealthTracker>(
       NodeHealthTracker::Options{
           options_.health_suspect_after, options_.health_penalize_after,
@@ -170,10 +172,10 @@ void NetMerger::Stop() {
 
 mr::ShuffleClient::Stats NetMerger::stats() const {
   Stats out;
-  MergerStats merger = merger_stats();
-  out.fetches = merger.fetches;
-  out.bytes_fetched = merger.bytes_fetched;
-  out.connections_opened = merger.connections_opened;
+  out.fetches = fetches_c_->value() - stats_base_.fetches;
+  out.bytes_fetched = bytes_fetched_c_->value() - stats_base_.bytes_fetched;
+  out.connections_opened =
+      connections_opened_c_->value() - stats_base_.connections_opened;
   return out;
 }
 

@@ -245,6 +245,9 @@ class NetMerger final : public mr::ShuffleClient {
   MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<TraceRecorder> owned_trace_;
   TraceRecorder* trace_ = nullptr;
+  // Counter values at construction: the registry may be shared with
+  // earlier mergers, and stats() reports this merger's work only.
+  Stats stats_base_;
   MetricCounter* fetches_c_ = nullptr;
   MetricCounter* chunks_c_ = nullptr;
   MetricCounter* bytes_fetched_c_ = nullptr;

@@ -45,6 +45,8 @@ class ShuffleServer {
     uint64_t requests = 0;
     uint64_t bytes_served = 0;
   };
+  /// This server's own work since construction, even when it publishes
+  /// into a metrics registry shared with other servers.
   virtual Stats stats() const { return {}; }
 };
 
@@ -69,6 +71,8 @@ class ShuffleClient {
     uint64_t bytes_fetched = 0;
     uint64_t connections_opened = 0;
   };
+  /// This client's own work since construction, even when it publishes
+  /// into a metrics registry shared with other clients.
   virtual Stats stats() const { return {}; }
 };
 

@@ -98,6 +98,58 @@ TEST(BytesTest, Crc32Incremental) {
   EXPECT_EQ(one_shot, chained);
 }
 
+// Bit-at-a-time CRC-32/IEEE register update, independent of the table
+// and the carry-less-multiply fold inside Crc32. `reg` is the inverted
+// running register.
+uint32_t BitwiseCrcStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    reg = (reg & 1) != 0 ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+  }
+  return reg;
+}
+
+std::vector<uint8_t> PatternBytes(size_t n) {
+  std::vector<uint8_t> out(n);
+  uint32_t x = 0x2545F491u;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<uint8_t>(x);
+  }
+  return out;
+}
+
+// Every length from 0 to 1100 at every start offset 0..15 crosses the
+// table path (< 64 bytes), the fold entry, the 16-byte fold loop and
+// every 1..15-byte tail.
+TEST(BytesTest, Crc32MatchesBitwiseReference) {
+  constexpr size_t kMaxLen = 1100;
+  const std::vector<uint8_t> buf = PatternBytes(kMaxLen + 16);
+  for (const uint32_t seed : {0u, 0xFFFFFFFFu, 0x5EEDC0DEu}) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const uint8_t* start = buf.data() + offset;
+      uint32_t reg = ~seed;  // reference register after `len` bytes
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        if (len > 0) reg = BitwiseCrcStep(reg, start[len - 1]);
+        ASSERT_EQ(Crc32({start, len}, seed), ~reg)
+            << "len=" << len << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(BytesTest, Crc32ChainsAtEverySplit) {
+  const std::vector<uint8_t> buf = PatternBytes(300);
+  const std::span<const uint8_t> all(buf);
+  const uint32_t whole = Crc32(all);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    ASSERT_EQ(Crc32(all.subspan(split), Crc32(all.first(split))), whole)
+        << "split=" << split;
+  }
+}
+
 TEST(BytesTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(0), "0B");
   EXPECT_EQ(HumanBytes(512), "512B");

@@ -92,7 +92,8 @@ class PluginE2eTest : public ::testing::Test {
     return spec;
   }
 
-  std::string RunWith(mr::ShufflePlugin& plugin, const std::string& tag) {
+  mr::LocalJobRunner::Options RunnerOptions(mr::ShufflePlugin& plugin,
+                                            const std::string& tag) {
     mr::LocalJobRunner::Options opts;
     opts.dfs = dfs_.get();
     opts.plugin = &plugin;
@@ -101,7 +102,11 @@ class PluginE2eTest : public ::testing::Test {
     opts.map_slots = 2;
     opts.reduce_slots = 2;
     opts.sort_buffer_bytes = 4096;  // force spills
-    mr::LocalJobRunner runner(opts);
+    return opts;
+  }
+
+  std::string RunWith(mr::ShufflePlugin& plugin, const std::string& tag) {
+    mr::LocalJobRunner runner(RunnerOptions(plugin, tag));
     auto result = runner.Run(WordCount("/out/" + tag));
     EXPECT_TRUE(result.ok()) << tag << ": " << result.status().ToString();
     if (!result.ok()) return "<failed:" + tag + ">";
@@ -118,6 +123,29 @@ class PluginE2eTest : public ::testing::Test {
   fs::path root_;
   std::unique_ptr<hdfs::MiniDfs> dfs_;
 };
+
+// One plugin instance serves every job of a run, and its servers and
+// clients share the plugin's per-node metrics series. Each job's
+// shuffle_bytes must still count that job's fetches only.
+TEST_F(PluginE2eTest, ShuffleBytesArePerJobWhenPluginIsReused) {
+  baseline::HadoopShufflePlugin::Options hopts;
+  hopts.spill_dir = root_ / "spills";
+  baseline::HadoopShufflePlugin http(hopts);
+  shuffle::JbsShufflePlugin jbs_tcp;
+  for (mr::ShufflePlugin* plugin :
+       {static_cast<mr::ShufflePlugin*>(&http),
+        static_cast<mr::ShufflePlugin*>(&jbs_tcp)}) {
+    mr::LocalJobRunner runner(RunnerOptions(*plugin, plugin->name()));
+    auto first = runner.Run(WordCount("/out/first_" + plugin->name()));
+    ASSERT_TRUE(first.ok()) << plugin->name() << ": "
+                            << first.status().ToString();
+    auto second = runner.Run(WordCount("/out/second_" + plugin->name()));
+    ASSERT_TRUE(second.ok()) << plugin->name() << ": "
+                             << second.status().ToString();
+    EXPECT_GT(first->shuffle_bytes, 0u) << plugin->name();
+    EXPECT_EQ(second->shuffle_bytes, first->shuffle_bytes) << plugin->name();
+  }
+}
 
 TEST_F(PluginE2eTest, AllShufflesProduceIdenticalOutput) {
   mr::LocalShufflePlugin local;
