@@ -49,6 +49,13 @@ struct SizeCase {
   int64_t expected;
 };
 
+// Names each case by its text and value. Without this gtest prints the raw
+// bytes of the struct, pointer included, so the test names would change from
+// one run to the next.
+void PrintTo(const SizeCase& c, std::ostream* os) {
+  *os << c.text << " -> " << c.expected;
+}
+
 class ParseSizeTest : public ::testing::TestWithParam<SizeCase> {};
 
 TEST_P(ParseSizeTest, Parses) {
