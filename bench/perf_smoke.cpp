@@ -13,14 +13,13 @@
 //      compressible workload must at least halve its wire bytes, and the
 //      random workload must ship raw (bail-out) with zero user-space
 //      payload copies on the compression-off pass.
-//   4. An engine sweep (DESIGN.md §15): zero-copy server push under epoll
-//      vs io_uring at 1/4/16 concurrent connections, recording throughput
-//      and getrusage CPU-per-MB per point. The zero-copy invariant
-//      (copied payload bytes == 0) is gated under both engines; the
-//      throughput/CPU deltas are recorded, not gated — on a CI runner
+//   4. A connection sweep (DESIGN.md §15): zero-copy server push through
+//      the epoll endpoint at 1/4/16 concurrent connections, recording
+//      throughput and getrusage CPU-per-MB per point. The zero-copy
+//      invariant (copied payload bytes == 0) is gated at every point; the
+//      throughput/CPU values are recorded, not gated — on a CI runner
 //      with one core the CPU-vs-connections profile is the signal, not
-//      absolute MB/s. io_uring-unavailable is recorded with its reason
-//      and the probe still passes with the epoll half.
+//      absolute MB/s.
 //   5. An overload sweep (DESIGN.md §16): offered load at 1x/2x/4x of a
 //      byte-budgeted supplier's capacity (admitted-inflight budget fits a
 //      single chunk; the disk model paces service), recording shed rate
@@ -56,7 +55,6 @@
 #include "jbs/net_merger.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
-#include "transport/io_uring_loop.h"
 #include "transport/transport.h"
 
 using namespace jbs;
@@ -300,19 +298,19 @@ CompressSweepResult CompressSweepRun(bool compress_on,
   return result;
 }
 
-struct EnginePoint {
+struct PushPoint {
   double mbs = 0;
   double cpu_ms_per_mb = 0;
   uint64_t copied = 0;
 };
 
-/// One engine-sweep point: `conns` concurrent clients each pull
-/// `rounds_per_conn` zero-copy frames of `frame_bytes` from one server
-/// running `engine`. Records aggregate throughput and process CPU
-/// (getrusage user+system) per MB moved.
-bool EnginePushPoint(net::Engine engine, int conns, size_t frame_bytes,
-                     int rounds_per_conn, EnginePoint* out, std::string* err) {
-  auto transport = net::MakeTcpTransport({.engine = engine, .num_loops = 2});
+/// One connection-sweep point: `conns` concurrent clients each pull
+/// `rounds_per_conn` zero-copy frames of `frame_bytes` from one server.
+/// Records aggregate throughput and process CPU (getrusage user+system)
+/// per MB moved.
+bool ConnPushPoint(int conns, size_t frame_bytes, int rounds_per_conn,
+                   PushPoint* out, std::string* err) {
+  auto transport = net::MakeTcpTransport({.num_loops = 2});
   auto server = transport->CreateServer();
   if (!server.ok()) {
     *err = "CreateServer: " + server.status().ToString();
@@ -670,68 +668,54 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(cdir);
 
-  // --- Probe 4: engine sweep, epoll vs io_uring -------------------------
-  bench::PrintHeader("perf-smoke 4/5: engine sweep (DESIGN.md §15)",
-                     "zero-copy push, epoll vs io_uring x 1/4/16 conns");
-  const Status uring = net::UringAvailable();
-  registry.GetGauge("perf_smoke_uring_available")
-      ->Set(uring.ok() ? 1.0 : 0.0);
-  if (!uring.ok()) {
-    std::printf("io_uring unavailable (%s): epoll half only\n",
-                uring.ToString().c_str());
-  }
-  std::vector<net::Engine> engines{net::Engine::kEpoll};
-  if (uring.ok()) engines.push_back(net::Engine::kIoUring);
+  // --- Probe 4: connection sweep ----------------------------------------
+  bench::PrintHeader("perf-smoke 4/5: connection sweep (DESIGN.md §15)",
+                     "zero-copy push, epoll x 1/4/16 conns");
   constexpr int kConnPoints[] = {1, 4, 16};
   constexpr size_t kSweepFrame = 256 * 1024;
   constexpr int kSweepRounds = 64;
-  for (const net::Engine engine : engines) {
-    const char* name = net::EngineName(engine);
-    EnginePoint warm;
+  {
+    PushPoint warm;
     probe_err.clear();
-    (void)EnginePushPoint(engine, 2, kSweepFrame, 16, &warm, &probe_err);
+    (void)ConnPushPoint(2, kSweepFrame, 16, &warm, &probe_err);
     double first_cpu = 0, last_cpu = 0;
     for (const int conns : kConnPoints) {
-      EnginePoint point;
+      PushPoint point;
       probe_err.clear();
-      if (!EnginePushPoint(engine, conns, kSweepFrame, kSweepRounds, &point,
-                           &probe_err)) {
-        std::printf("FAIL: engine sweep (%s, %d conns) could not run: %s\n",
-                    name, conns, probe_err.c_str());
+      if (!ConnPushPoint(conns, kSweepFrame, kSweepRounds, &point,
+                         &probe_err)) {
+        std::printf("FAIL: connection sweep (%d conns) could not run: %s\n",
+                    conns, probe_err.c_str());
         probes_ok = false;
         continue;
       }
       const std::string conns_label = std::to_string(conns);
-      registry
-          .GetGauge("perf_smoke_engine_push_mbs",
-                    {{"engine", name}, {"conns", conns_label}})
+      registry.GetGauge("perf_smoke_engine_push_mbs", {{"conns", conns_label}})
           ->Set(point.mbs);
       registry
           .GetGauge("perf_smoke_engine_cpu_ms_per_mb",
-                    {{"engine", name}, {"conns", conns_label}})
+                    {{"conns", conns_label}})
           ->Set(point.cpu_ms_per_mb);
       registry
-          .GetGauge("perf_smoke_engine_copied_bytes",
-                    {{"engine", name}, {"conns", conns_label}})
+          .GetGauge("perf_smoke_engine_copied_bytes", {{"conns", conns_label}})
           ->Set(static_cast<double>(point.copied));
-      bench::PrintRow({std::string(name) + " x" + conns_label,
+      bench::PrintRow({"epoll x" + conns_label,
                        bench::Fmt(point.mbs, "%.0fMB/s"),
                        bench::Fmt(point.cpu_ms_per_mb, "%.2fms/MB"),
                        std::to_string(point.copied) + "B copied"});
-      // The zero-copy invariant is engine-independent: neither data plane
-      // may stage payload bytes through user space on the serve path.
+      // The serve path may not stage payload bytes through user space.
       if (point.copied != 0) {
-        std::printf("FAIL: %s engine copied %llu payload bytes\n", name,
+        std::printf("FAIL: %d-conn push copied %llu payload bytes\n", conns,
                     static_cast<unsigned long long>(point.copied));
         ok = false;
       }
       if (conns == kConnPoints[0]) first_cpu = point.cpu_ms_per_mb;
       last_cpu = point.cpu_ms_per_mb;
     }
-    // CPU flatness across the connection sweep: ~1.0 means the engine's
-    // per-MB cost does not grow with connection count.
+    // CPU flatness across the connection sweep: ~1.0 means the per-MB
+    // cost does not grow with connection count.
     if (first_cpu > 0) {
-      registry.GetGauge("perf_smoke_engine_cpu_flatness", {{"engine", name}})
+      registry.GetGauge("perf_smoke_engine_cpu_flatness")
           ->Set(last_cpu / first_cpu);
     }
   }

@@ -74,8 +74,6 @@ inline constexpr const char* kConnectionIdleMs =
     "jbs.transport.connection.idle_ms";
 // Integrity + supplier-failover knobs.
 inline constexpr const char* kVerifyCrc = "jbs.fetch.verify_crc";
-inline constexpr const char* kCrcCacheEntries =
-    "jbs.mofsupplier.crccache.entries";
 inline constexpr const char* kHealthSuspectAfter =
     "jbs.netmerger.health.suspect_after";
 inline constexpr const char* kHealthPenalizeAfter =
@@ -84,9 +82,6 @@ inline constexpr const char* kHealthPenaltyMs =
     "jbs.netmerger.health.penalty_ms";
 inline constexpr const char* kHealthPenaltyMaxMs =
     "jbs.netmerger.health.penalty_max_ms";
-// Zero-copy serve-path knobs.
-inline constexpr const char* kSendfileMinBytes =
-    "jbs.mofsupplier.sendfile.min_bytes";
 // Negotiated wire-compression knobs (see DESIGN.md §14).
 inline constexpr const char* kWireCompressEnabled = "jbs.wire.compress.enabled";
 inline constexpr const char* kWireCompressMinBytes =
@@ -107,8 +102,7 @@ inline constexpr const char* kAdmissionAcquireTimeoutMs =
     "jbs.mofsupplier.admission.acquire_timeout_ms";
 inline constexpr const char* kPushbackRetryBudget =
     "jbs.netmerger.pushback.retry_budget";
-// Thread-per-core execution-model knobs (see DESIGN.md §15).
-inline constexpr const char* kTransportEngine = "jbs.transport.engine";
+// Thread-per-core serve-path knobs (see DESIGN.md §15).
 inline constexpr const char* kTransportLoops = "jbs.transport.loops";
 inline constexpr const char* kServeShards = "jbs.mofsupplier.serve.shards";
 inline constexpr const char* kMapSlotsPerNode = "mapred.map.slots";

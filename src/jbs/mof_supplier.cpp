@@ -73,7 +73,7 @@ MofSupplier::MofSupplier(Options options)
   shards_.reserve(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
     shards_.push_back(std::make_unique<ServeShard>(
-        slice(options_.fd_cache_entries), slice(options_.crc_cache_entries),
+        slice(options_.fd_cache_entries),
         slice(options_.compress_cache_entries), options_.buffer_count));
   }
   if (options_.metrics != nullptr) {
@@ -96,14 +96,6 @@ MofSupplier::MofSupplier(Options options)
       metrics_->GetCounter("jbs_mofsupplier_group_switches_total", base);
   disconnect_purges_c_ =
       metrics_->GetCounter("jbs_mofsupplier_disconnect_purges_total", base);
-  sendfile_chunks_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_sendfile_chunks_total", base);
-  sendfile_bytes_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_sendfile_bytes_total", base);
-  crc_cache_hits_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_crc_cache_hits_total", base);
-  crc_cache_misses_c_ =
-      metrics_->GetCounter("jbs_mofsupplier_crc_cache_misses_total", base);
   compress_cache_hits_c_ =
       metrics_->GetCounter("jbs_mofsupplier_compress_cache_hits_total", base);
   compress_cache_misses_c_ = metrics_->GetCounter(
@@ -134,50 +126,11 @@ MofSupplier::MofSupplier(Options options)
   stats_base_ = {requests_c_->value(), bytes_served_c_->value()};
 }
 
-uint32_t MofSupplier::ChunkDataCrc(const FetchRequest& request,
-                                   std::span<const uint8_t> data) {
-  const CrcKey key{request.map_task, request.partition, request.offset,
-                   static_cast<uint64_t>(data.size())};
-  ServeShard& shard = MemoShardOf(key);
-  {
-    MutexLock lock(shard.crc_mu);
-    if (const uint32_t* cached = shard.crc_cache.Get(key)) {
-      crc_cache_hits_c_->Increment();
-      return *cached;
-    }
-  }
-  // Hash outside the lock: the CRC pass over a 128KB chunk is the
-  // expensive part and must not serialize the disk-thread pool.
-  const uint32_t crc = Crc32(data);
-  {
-    MutexLock lock(shard.crc_mu);
-    shard.crc_cache.Put(key, crc);
-  }
-  crc_cache_misses_c_->Increment();
-  return crc;
-}
-
-bool MofSupplier::LookupChunkCrc(const FetchRequest& request, uint64_t length,
-                                 uint32_t* crc) {
-  const CrcKey key{request.map_task, request.partition, request.offset,
-                   length};
-  ServeShard& shard = MemoShardOf(key);
-  MutexLock lock(shard.crc_mu);
-  const uint32_t* cached = shard.crc_cache.Get(key);
-  if (cached == nullptr) return false;
-  *crc = *cached;
-  return true;
-}
-
 void MofSupplier::StampChunkCrc(FetchDataHeader* header,
-                                const FetchRequest& request,
-                                std::span<const uint8_t> data) {
+                                std::span<const uint8_t> data) const {
   if (!options_.chunk_crc) return;
   header->flags |= kChunkHasCrc;
-  // The cached part covers the payload; the 28-byte header fold is cheap
-  // enough to pay per send (it differs per retransmit anyway only if the
-  // request does).
-  header->crc32 = ChunkWireCrc(*header, ChunkDataCrc(request, data));
+  header->crc32 = ChunkWireCrc(*header, Crc32(data));
 }
 
 MetricLabels MofSupplier::BaseLabels() const {
@@ -623,49 +576,6 @@ void MofSupplier::ChargeDiskModel(int fd, uint64_t offset, size_t bytes) {
   std::this_thread::sleep_until(ready);
 }
 
-bool MofSupplier::TrySendfileReply(const PendingRequest& pending,
-                                   const mr::MofHandle& handle,
-                                   FetchDataHeader header,
-                                   uint64_t disk_offset, uint64_t chunk) {
-  if (options_.sendfile_min_bytes == 0 ||
-      chunk < options_.sendfile_min_bytes) {
-    return false;
-  }
-  if (!endpoint_->supports_file_segments()) return false;
-  if (options_.chunk_crc) {
-    // The CRC needs the bytes; only a memoized chunk can skip the
-    // read-back. A miss takes the pooled path once and memoizes there.
-    uint32_t data_crc = 0;
-    if (!LookupChunkCrc(pending.request, chunk, &data_crc)) return false;
-    header.flags |= kChunkHasCrc;
-    header.crc32 = ChunkWireCrc(header, data_crc);
-  }
-  auto file = PathShardOf(handle.data_path.string())
-                  .fd_cache.Open(handle.data_path.string());
-  if (!file.ok()) return false;  // let the pooled path report the failure
-  // The kernel still reads the platters; charge the same modeled disk
-  // time the pooled path would pay, so sendfile's measured win is the
-  // skipped copies, not a free disk.
-  ChargeDiskModel(file->fd(), disk_offset, static_cast<size_t>(chunk));
-  ReadyReply ready;
-  ready.conn = pending.conn;
-  // The fd-cache handle rides as the frame's lease: eviction or
-  // invalidation can't close the descriptor while the event thread is
-  // still sendfile()-ing from it. Read the fd before moving the handle —
-  // argument evaluation order is unspecified.
-  const int fd = file->fd();
-  ready.frame = EncodeDataFile(
-      header, fd, disk_offset, chunk,
-      std::make_shared<FdCache::Handle>(std::move(file).value()));
-  ready.chunk = chunk;
-  ready.wire = chunk;
-  ready.enqueued = pending.enqueued;
-  sendfile_chunks_c_->Increment();
-  sendfile_bytes_c_->Increment(chunk);
-  (void)ConnShardOf(pending.conn).send_queue.Push(std::move(ready));
-  return true;
-}
-
 bool MofSupplier::WireCompressEligible(const PendingRequest& pending,
                                        const FetchDataHeader& header,
                                        uint64_t chunk) const {
@@ -775,9 +685,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   }
   // Wire-compression gate. A memoized compressed chunk is served straight
   // from the memo — no disk read at all. A memoized bail-out falls through
-  // to the raw path with the sendfile fast path intact. A miss must read
-  // the bytes first, so it takes the pooled path (sendfile can't — the
-  // compressor needs the data in user space).
+  // to the raw path. A miss reads the bytes, then compresses them.
   bool want_compress = false;
   if (WireCompressEligible(pending, header, chunk)) {
     std::shared_ptr<const std::vector<uint8_t>> memo;
@@ -796,10 +704,6 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
         want_compress = true;
         break;
     }
-  }
-  if (!want_compress && chunk > 0 &&
-      TrySendfileReply(pending, handle, header, disk_offset, chunk)) {
-    return;
   }
   // DataCache buffer: bounds in-flight disk reads *and* bytes parked on
   // the socket, since the buffer now travels with the frame until the
@@ -865,8 +769,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   }
   // CRC in the disk stage: the hash overlaps the send stage's transmits
   // the same way the reads do.
-  StampChunkCrc(&header, pending.request,
-                {buffer.data(), static_cast<size_t>(chunk)});
+  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
   ReadyReply ready;
   ready.conn = pending.conn;
   // Ownership handoff, not a copy: the chunk rides as the frame's `ext`
@@ -968,8 +871,7 @@ void MofSupplier::ServeInline(const PendingRequest& pending) {
       return;
     }
   }
-  StampChunkCrc(&header, request,
-                {buffer.data(), static_cast<size_t>(chunk)});
+  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
   // Same zero-copy handoff as the pipelined path; "serialized" here means
   // one request at a time, not extra memcpys.
   auto lease = MakeBufferLease(std::move(buffer));

@@ -14,10 +14,7 @@
 //     the transport's event thread. The chunk bytes are
 //     never copied into the frame: the pooled buffer rides along as the
 //     frame's lease and returns to the DataCache only after the transport
-//     has put its last byte on the wire. Chunks above
-//     `sendfile_min_bytes` whose CRC is already memoized skip the pooled
-//     buffer entirely and go out via sendfile(2) straight from the MOF
-//     descriptor.
+//     has put its last byte on the wire.
 //
 // Disk reads for request N+1 therefore overlap the network transmit of
 // request N (Fig. 5), and DataCache exhaustion — which now includes
@@ -63,26 +60,13 @@ class MofSupplier final : public mr::ShuffleServer {
     size_t fd_cache_entries = 128;  // open MOF data-file descriptors
     bool chunk_crc = true;    // stamp every data chunk with a CRC32 the
                               // client can verify before merging
-    size_t crc_cache_entries = 4096;  // per-chunk data-CRC memo (LRU), so
-                                      // a retransmitted chunk re-reads the
-                                      // disk but never re-hashes the bytes
-    // Sendfile fast path: chunks at least this large are served straight
-    // from the MOF descriptor (sendfile(2) on the transport's event
-    // thread) instead of being pread into a pooled buffer — no disk-stage
-    // read, no user-space payload bytes at all. Taken only when the
-    // transport supports file segments (TCP) and, with chunk_crc on, when
-    // the chunk's data CRC is already memoized (a CRC needs the bytes; a
-    // memo miss reads through the pooled path once and memoizes). 0
-    // disables the fast path entirely.
-    uint64_t sendfile_min_bytes = 0;
     // Negotiated wire compression: chunks served to clients that advertised
     // kCapWireCompression in their hello are LZSS-compressed in the
     // prefetch stage when at least `wire_compress_min_bytes` long and not
     // already segment-compressed on disk. The compressed bytes are memoized
-    // in an LRU (like the CRC memo — compress once per chunk across
-    // retransmits); chunks whose compressed size exceeds
-    // `chunk * wire_compress_min_ratio` are memoized as incompressible and
-    // ship raw (keeping the sendfile fast path). Off by default: the knob
+    // in an LRU (compress once per chunk across retransmits); chunks whose
+    // compressed size exceeds `chunk * wire_compress_min_ratio` are
+    // memoized as incompressible and ship raw. Off by default: the knob
     // trades supplier CPU for wire bytes, which only pays on compressible
     // workloads.
     bool wire_compress = false;
@@ -111,8 +95,8 @@ class MofSupplier final : public mr::ShuffleServer {
     double admission_datacache_watermark = 0;
     int admission_acquire_timeout_ms = 100;
     // Thread-per-core serve sharding (DESIGN.md §15): number of
-    // independent serve shards, each owning its own fd-cache, CRC memo,
-    // compress memo, capability map, and send stage. Connections route by
+    // independent serve shards, each owning its own fd-cache, compress
+    // memo, capability map, and send stage. Connections route by
     // ConnId (whose low bits are the transport's accepting-loop index, so
     // shards align with accepting cores when this matches
     // TcpTransportOptions::num_loops); chunk memos route by content key
@@ -238,24 +222,10 @@ class MofSupplier final : public mr::ShuffleServer {
                     const std::string& message);
   Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
                    std::span<uint8_t> out);
-  /// Data-payload CRC for one resolved chunk, via the LRU memo (MOFs are
-  /// immutable once published, so a cached value never goes stale).
-  uint32_t ChunkDataCrc(const FetchRequest& request,
-                        std::span<const uint8_t> data);
-  /// Memo-only probe: true (and `*crc` set) on a hit, no hashing and no
-  /// disk touch on a miss. The sendfile gate — a chunk whose CRC is not
-  /// memoized can't go out via sendfile without a read-back.
-  bool LookupChunkCrc(const FetchRequest& request, uint64_t length,
-                      uint32_t* crc);
-  /// Stamps `header` with the full wire CRC (kChunkHasCrc) when enabled.
-  void StampChunkCrc(FetchDataHeader* header, const FetchRequest& request,
-                     std::span<const uint8_t> data);
-  /// PrefetchOne's sendfile fast path. Returns true if the reply was
-  /// queued as a file-segment frame; false means "take the pooled path"
-  /// (gate not met — never an error).
-  bool TrySendfileReply(const PendingRequest& pending,
-                        const mr::MofHandle& handle, FetchDataHeader header,
-                        uint64_t disk_offset, uint64_t chunk);
+  /// Stamps `header` with the full wire CRC (kChunkHasCrc) over the
+  /// chunk bytes just read, when enabled.
+  void StampChunkCrc(FetchDataHeader* header,
+                     std::span<const uint8_t> data) const;
   /// True if this chunk should be considered for wire compression: the
   /// peer advertised the capability, the chunk clears the min-size gate,
   /// and the segment isn't already block-compressed on disk.
@@ -297,10 +267,9 @@ class MofSupplier final : public mr::ShuffleServer {
   BufferPool data_cache_;
   IndexCache index_cache_;
 
-  // Chunk-CRC memo: (map, partition, offset, len) -> CRC32 of the payload
-  // bytes, so the hot path hashes each chunk once, not per retransmit.
-  // The key is a packed POD — the old per-lookup std::string key was four
-  // integer formats plus a heap allocation on every served chunk.
+  // Chunk memo key: (map, partition, offset, len) of one served chunk.
+  // A packed POD — a per-lookup std::string key would be four integer
+  // formats plus a heap allocation on every served chunk.
   struct CrcKey {
     int32_t map_task = 0;
     int32_t partition = 0;
@@ -326,13 +295,8 @@ class MofSupplier final : public mr::ShuffleServer {
           mix(mix(a) ^ mix(key.offset) ^ (mix(key.length) << 1)));
     }
   };
-  MetricCounter* crc_cache_hits_c_ = nullptr;
-  MetricCounter* crc_cache_misses_c_ = nullptr;
 
-  // Compressed-chunk memo, same key space as the CRC memo but its own
-  // cache: the raw-payload CRC and the compressed payload's CRC are
-  // different values for the same (map, partition, offset, length), so
-  // sharing entries would let one poison the other. `data == nullptr`
+  // Compressed-chunk memo. `data == nullptr`
   // memoizes "didn't compress well enough — ship raw" so the bail-out is
   // also paid once per chunk, not per retransmit.
   struct CompressedChunk {
@@ -355,15 +319,12 @@ class MofSupplier final : public mr::ShuffleServer {
   // connection-keyed state (caps, send queue) routes by ConnId so a
   // connection's frames stay ordered through a single send thread.
   struct ServeShard {
-    ServeShard(size_t fd_entries, size_t crc_entries, size_t compress_entries,
+    ServeShard(size_t fd_entries, size_t compress_entries,
                size_t queue_capacity)
         : fd_cache(fd_entries),
-          crc_cache(crc_entries),
           compress_cache(compress_entries),
           send_queue(queue_capacity) {}
     FdCache fd_cache;
-    Mutex crc_mu;
-    LruCache<CrcKey, uint32_t, CrcKeyHash> crc_cache GUARDED_BY(crc_mu);
     Mutex compress_mu;
     LruCache<CrcKey, CompressedChunk, CrcKeyHash> compress_cache
         GUARDED_BY(compress_mu);
@@ -409,8 +370,6 @@ class MofSupplier final : public mr::ShuffleServer {
   MetricCounter* group_switches_c_ = nullptr;
   MetricCounter* errors_c_ = nullptr;
   MetricCounter* disconnect_purges_c_ = nullptr;
-  MetricCounter* sendfile_chunks_c_ = nullptr;
-  MetricCounter* sendfile_bytes_c_ = nullptr;
   MetricHistogram* request_latency_ms_h_ = nullptr;
   // Overload-control series: jbs_supplier_shed_total broken out by the
   // admission decision that shed the request (queue / inflight_bytes /

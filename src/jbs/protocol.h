@@ -118,13 +118,6 @@ Frame EncodeDataZeroCopy(const FetchDataHeader& header,
                          std::span<const uint8_t> data,
                          std::shared_ptr<const void> lease);
 
-/// Sendfile data frame: the chunk bytes come straight from `fd` at
-/// `offset` (a MOF file kept open by `fd_lease`, e.g. an FdCache handle).
-/// Transports without file-segment support Flatten() it — correct, but
-/// the copy is counted.
-Frame EncodeDataFile(const FetchDataHeader& header, int fd, uint64_t offset,
-                     uint64_t length, std::shared_ptr<const void> fd_lease);
-
 /// Decodes header; `data` is set to the payload bytes after it (view into
 /// the frame's payload).
 std::optional<FetchDataHeader> DecodeData(const Frame& frame,
@@ -140,9 +133,8 @@ std::optional<BusyReply> DecodeBusy(const Frame& frame);
 /// fields (everything except the crc field itself), so a bit flip anywhere
 /// in the frame — including `segment_total`, which would silently truncate
 /// or inflate the client's reassembly — is detected, not just payload
-/// damage. `data_crc` is Crc32 over the payload alone; suppliers cache it
-/// per chunk so a retransmit doesn't re-hash the data, and only the cheap
-/// 28-byte header fold is paid per send.
+/// damage. `data_crc` is Crc32 over the payload alone; suppliers hash the
+/// bytes they just read for every send, retransmits included.
 uint32_t ChunkWireCrc(const FetchDataHeader& header, uint32_t data_crc);
 
 /// Wire size of the data-frame header, for sizing chunk payloads.

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
@@ -54,7 +55,9 @@ class MofSupplierTest : public ::testing::Test {
     return MofSupplier(options);
   }
 
-  /// Full chunked fetch of one segment over one connection.
+  /// Full chunked fetch of one segment over one connection. Every chunk
+  /// stamped with kChunkHasCrc must carry the wire CRC of its header and
+  /// the bytes it delivered.
   StatusOr<std::vector<uint8_t>> Fetch(net::Connection& conn, int map_task,
                                        int partition, uint32_t chunk) {
     std::vector<uint8_t> segment;
@@ -72,6 +75,11 @@ class MofSupplierTest : public ::testing::Test {
       std::span<const uint8_t> data;
       auto header = DecodeData(*reply, &data);
       if (!header) return IoError("bad frame");
+      if ((header->flags & kChunkHasCrc) != 0 &&
+          ChunkWireCrc(*header, Crc32(data)) != header->crc32) {
+        return IoError("chunk CRC mismatch at offset " +
+                       std::to_string(header->offset));
+      }
       total = header->segment_total;
       segment.insert(segment.end(), data.begin(), data.end());
       offset += data.size();
@@ -171,12 +179,23 @@ TEST_F(MofSupplierTest, IndexCacheHitsOnRepeatedFetches) {
   ASSERT_TRUE(supplier.PublishMof(MakeMof(3, 4, 10)).ok());
   auto conn = transport_->Connect("127.0.0.1", supplier.port());
   ASSERT_TRUE(conn.ok());
-  for (int p = 0; p < 4; ++p) {
-    ASSERT_TRUE(Fetch(**conn, 3, p, 64 * 1024).ok());
+  // Two sweeps over the same segments: the second re-serves every chunk,
+  // and Fetch checks each re-served chunk's CRC as well.
+  std::vector<std::vector<uint8_t>> first;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (int p = 0; p < 4; ++p) {
+      auto segment = Fetch(**conn, 3, p, 64 * 1024);
+      ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+      if (sweep == 0) {
+        first.push_back(*segment);
+      } else {
+        EXPECT_EQ(*segment, first[static_cast<size_t>(p)]);
+      }
+    }
   }
   auto stats = supplier.supplier_stats();
   EXPECT_EQ(stats.index.misses, 1u);
-  EXPECT_GE(stats.index.hits, 3u);
+  EXPECT_GE(stats.index.hits, 7u);
   supplier.Stop();
 }
 
@@ -243,7 +262,7 @@ TEST_F(MofSupplierTest, ShardedSupplierServesByteIdenticalAcrossShards) {
         ++failures;
         return;
       }
-      // Fetch twice so the second pass hits the sharded CRC memo.
+      // Fetch twice so every chunk is re-served (and its CRC re-checked).
       for (int round = 0; round < 2; ++round) {
         auto segment = Fetch(**conn, c, 0, 1500);
         if (!segment.ok() || *segment != expected[static_cast<size_t>(c)]) {
@@ -272,67 +291,6 @@ TEST_F(MofSupplierTest, ServePathCopiesZeroPayloadBytes) {
   ASSERT_TRUE(segment.ok());
   EXPECT_GT(segment->size(), 4096u);  // several chunks actually moved
   EXPECT_EQ(PayloadCopyBytes(), copied_before);
-  supplier.Stop();
-}
-
-TEST_F(MofSupplierTest, SendfileFastPathServesIdenticalBytes) {
-  MofSupplier::Options options;
-  options.transport = transport_.get();
-  options.buffer_size = 4096;
-  options.buffer_count = 8;
-  options.chunk_crc = false;  // no CRC gate: every big chunk may sendfile
-  options.sendfile_min_bytes = 1024;
-  MofSupplier supplier(options);
-  ASSERT_TRUE(supplier.Start().ok());
-  auto handle = MakeMof(0, 1, 50);
-  ASSERT_TRUE(supplier.PublishMof(handle).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  const uint64_t copied_before = PayloadCopyBytes();
-  auto segment = Fetch(**conn, 0, 0, 3000);
-  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-  auto reader = mr::MofReader::Open(handle);
-  std::vector<uint8_t> expected;
-  ASSERT_TRUE(reader->ReadSegment(0, expected).ok());
-  EXPECT_EQ(*segment, expected);
-  EXPECT_EQ(PayloadCopyBytes(), copied_before);
-  const MetricLabels labels{{"server", "mofsupplier"}};
-  EXPECT_GT(supplier.metrics()
-                .GetCounter("jbs_mofsupplier_sendfile_chunks_total", labels)
-                ->value(),
-            0u);
-  supplier.Stop();
-}
-
-TEST_F(MofSupplierTest, SendfileGatedByCrcMemo) {
-  MofSupplier::Options options;
-  options.transport = transport_.get();
-  options.buffer_size = 4096;
-  options.buffer_count = 8;
-  options.chunk_crc = true;
-  options.sendfile_min_bytes = 1024;
-  MofSupplier supplier(options);
-  ASSERT_TRUE(supplier.Start().ok());
-  auto handle = MakeMof(0, 1, 50);
-  ASSERT_TRUE(supplier.PublishMof(handle).ok());
-  auto conn = transport_->Connect("127.0.0.1", supplier.port());
-  ASSERT_TRUE(conn.ok());
-  const MetricLabels labels{{"server", "mofsupplier"}};
-  auto* sendfile_chunks = supplier.metrics().GetCounter(
-      "jbs_mofsupplier_sendfile_chunks_total", labels);
-
-  // First sweep: CRC memo is cold, so every chunk must take the pooled
-  // read-back path (a sendfile serve could not stamp a CRC).
-  auto first = Fetch(**conn, 0, 0, 3000);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(sendfile_chunks->value(), 0u);
-
-  // Retransmit sweep: CRCs are memoized, big chunks flip to sendfile and
-  // the bytes still match.
-  auto second = Fetch(**conn, 0, 0, 3000);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, *first);
-  EXPECT_GT(sendfile_chunks->value(), 0u);
   supplier.Stop();
 }
 
