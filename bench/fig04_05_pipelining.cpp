@@ -1,8 +1,9 @@
 // Real-mode counterpart of Figs. 4 and 5: the same fetch workload served
 // by the MOFSupplier in serialized per-request mode (HttpServlet-style,
-// Fig. 4) vs. with the two-stage pipelined serve path (Fig. 5): a pool of
-// prefetch threads preading through the fd cache into DataCache buffers,
-// a dedicated send stage, and windowed chunk fetching on the client.
+// Fig. 4) vs. with the pipelined serve path (Fig. 5): a pool of disk
+// threads preading through the fd cache into DataCache buffers and handing
+// each frame to the transport's event loop, and windowed chunk fetching on
+// the client.
 // Sweeps the pipeline depth (prefetch_threads x fetch_window) and reports
 // wall time, throughput, per-request latency, and MOF switches.
 //
@@ -167,9 +168,9 @@ int main() {
 
   bench::PrintHeader(
       "Figs. 4/5 (real loopback): serialized HttpServlet-style service vs "
-      "MOFSupplier two-stage pipelined prefetching",
-      "prefetch pool + fd cache + send stage overlap disk and network; "
-      "windowed chunk fetching removes per-chunk round trips");
+      "MOFSupplier pipelined prefetching",
+      "disk-thread pool + fd cache + event-loop sends overlap disk and "
+      "network; windowed chunk fetching removes per-chunk round trips");
   bench::PrintRow({"mode (threads x window)", "wall", "throughput",
                    "mean req latency", "MOF switches", "requests"},
                   24);

@@ -5,7 +5,8 @@
 //      legacy copy-into-frame handoff vs zero-copy ext+lease handoff
 //      (micro_transport's BM_ServerPushLargeFrame, reduced to one pass).
 //   2. A reduced Figs. 4/5 sweep: serialized per-request service vs the
-//      pipelined prefetch+send MofSupplier, small dataset, one repeat.
+//      pipelined MofSupplier (disk-thread pool sending straight to the
+//      event loop), small dataset, one repeat.
 //   3. A wire-compression sweep: zipf-skewed compressible vs uniformly
 //      random MOFs shuffled with negotiated per-chunk compression off and
 //      on, recording bytes_logical / bytes_on_wire / ratio / elapsed. The

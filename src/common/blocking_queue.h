@@ -1,7 +1,6 @@
-// Bounded multi-producer/multi-consumer blocking queue. The workhorse for
-// handing fetch requests between the event threads and data threads of the
-// TCP transport (§IV-B) and between the prefetch server and transmit side
-// of the MOFSupplier (§III-B).
+// Bounded multi-producer/multi-consumer blocking queue. Carries tasks to
+// ThreadPool workers and outbound frames to the RDMA transport's send
+// thread.
 #pragma once
 
 #include <deque>

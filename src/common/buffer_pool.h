@@ -73,8 +73,8 @@ class BufferPool {
   /// Bounded-wait Acquire: blocks until a buffer is available, the pool is
   /// cancelled (kCancelled), or `deadline` passes (kResourceExhausted).
   /// Unlike Acquire(), a leaked lease cannot park a pipeline stage forever
-  /// — overload-control callers (the prefetch stage) use the expiry to
-  /// shed the request instead of hanging (DESIGN.md §16).
+  /// — overload-control callers (the supplier's disk threads) use the
+  /// expiry to shed the request instead of hanging (DESIGN.md §16).
   JBS_BLOCKING StatusOr<PooledBuffer> AcquireFor(
       std::chrono::steady_clock::time_point deadline) EXCLUDES(mu_);
   JBS_BLOCKING StatusOr<PooledBuffer> AcquireFor(std::chrono::milliseconds timeout)

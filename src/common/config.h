@@ -102,9 +102,8 @@ inline constexpr const char* kAdmissionAcquireTimeoutMs =
     "jbs.mofsupplier.admission.acquire_timeout_ms";
 inline constexpr const char* kPushbackRetryBudget =
     "jbs.netmerger.pushback.retry_budget";
-// Thread-per-core serve-path knobs (see DESIGN.md §15).
+// Thread-per-core serve-path knob (see DESIGN.md §15).
 inline constexpr const char* kTransportLoops = "jbs.transport.loops";
-inline constexpr const char* kServeShards = "jbs.mofsupplier.serve.shards";
 inline constexpr const char* kMapSlotsPerNode = "mapred.map.slots";
 inline constexpr const char* kReduceSlotsPerNode = "mapred.reduce.slots";
 inline constexpr const char* kBlockSize = "dfs.block.size";

@@ -1,6 +1,7 @@
 // Named, runtime-armed failpoints for the syscall boundaries the chaos
 // harness cannot reach from outside the process: open(2)/pread in the fd
-// cache and prefetch stage, and BufferPool acquisition. Each site asks `JBS_FAILPOINT("name")` whether to misbehave;
+// cache and the supplier's disk threads, and BufferPool acquisition. Each
+// site asks `JBS_FAILPOINT("name")` whether to misbehave;
 // an armed failpoint scripts the site to return EIO/ENOSPC/EMFILE/short
 // reads deterministically (seeded when probabilistic).
 //

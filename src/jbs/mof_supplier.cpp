@@ -58,24 +58,9 @@ constexpr int kPreadAttempts = 2;
 MofSupplier::MofSupplier(Options options)
     : options_(options),
       data_cache_(options.buffer_size, options.buffer_count),
-      index_cache_(options.index_cache_entries) {
-  // §15 serve shards: each owns a slice of the fd/memo cache budget (the
-  // router hashes a given path or chunk key to exactly one shard, so the
-  // aggregate capacity is unchanged) plus its own send stage.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const size_t n_shards =
-      options_.serve_shards > 0
-          ? static_cast<size_t>(options_.serve_shards)
-          : static_cast<size_t>(std::min(8u, hw));
-  const auto slice = [n_shards](size_t total) {
-    return std::max<size_t>(1, total / n_shards);
-  };
-  shards_.reserve(n_shards);
-  for (size_t i = 0; i < n_shards; ++i) {
-    shards_.push_back(std::make_unique<ServeShard>(
-        slice(options_.fd_cache_entries),
-        slice(options_.compress_cache_entries), options_.buffer_count));
-  }
+      index_cache_(options.index_cache_entries),
+      fd_cache_(std::max<size_t>(1, options.fd_cache_entries)),
+      compress_cache_(std::max<size_t>(1, options.compress_cache_entries)) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -146,7 +131,7 @@ void MofSupplier::RefreshGauges() const {
   const auto set = [&](const char* name, double v) {
     metrics_->GetGauge(name, base)->Set(v);
   };
-  const FdCache::Stats fd = AggregateFdStats();
+  const FdCache::Stats fd = fd_cache_.stats();
   set("jbs_mofsupplier_fdcache_hits", static_cast<double>(fd.hits));
   set("jbs_mofsupplier_fdcache_misses", static_cast<double>(fd.misses));
   set("jbs_mofsupplier_fdcache_evictions", static_cast<double>(fd.evictions));
@@ -157,8 +142,8 @@ void MofSupplier::RefreshGauges() const {
   const IndexCache::Stats index = index_cache_.stats();
   set("jbs_mofsupplier_indexcache_hits", static_cast<double>(index.hits));
   set("jbs_mofsupplier_indexcache_misses", static_cast<double>(index.misses));
-  // DataCache occupancy: buffers checked out by the disk stage or waiting
-  // in the send queue.
+  // DataCache occupancy: buffers checked out by a disk thread or riding a
+  // frame the transport has not finished sending.
   set("jbs_mofsupplier_datacache_buffers_total",
       static_cast<double>(data_cache_.capacity()));
   set("jbs_mofsupplier_datacache_buffers_in_use",
@@ -169,9 +154,6 @@ void MofSupplier::RefreshGauges() const {
   set("buffer_pool_waiters", static_cast<double>(data_cache_.waiters()));
   set("jbs_mofsupplier_datacache_acquire_timeouts",
       static_cast<double>(data_cache_.stats().acquire_timeouts));
-  size_t send_depth = 0;
-  for (const auto& shard : shards_) send_depth += shard->send_queue.size();
-  set("jbs_mofsupplier_send_queue_depth", static_cast<double>(send_depth));
   set("jbs_mofsupplier_pending_groups",
       static_cast<double>(pending_group_count()));
   {
@@ -195,24 +177,18 @@ void MofSupplier::RefreshGauges() const {
   }
 }
 
-FdCache::Stats MofSupplier::AggregateFdStats() const {
-  FdCache::Stats total;
-  for (const auto& shard : shards_) {
-    const FdCache::Stats s = shard->fd_cache.stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.open_failures += s.open_failures;
-    total.emergency_evictions += s.emergency_evictions;
-  }
-  return total;
-}
-
 MofSupplier::~MofSupplier() { Stop(); }
 
 Status MofSupplier::Start() {
   if (options_.transport == nullptr) {
     return InvalidArgument("MofSupplier needs a transport");
+  }
+  // A chunk is bounded by buffer_size - kDataHeaderSize; anything smaller
+  // would underflow that bound and let a remote max_len overrun the buffer.
+  if (options_.buffer_size <= kDataHeaderSize) {
+    return InvalidArgument("MofSupplier buffer_size must exceed the " +
+                           std::to_string(kDataHeaderSize) +
+                           "-byte chunk header");
   }
   auto endpoint = options_.transport->CreateServer();
   JBS_RETURN_IF_ERROR(endpoint.status());
@@ -224,18 +200,12 @@ Status MofSupplier::Start() {
   handlers.on_disconnect = [this](net::ConnId conn) { OnDisconnect(conn); };
   JBS_RETURN_IF_ERROR(endpoint_->Start(std::move(handlers)));
   // Serialized ablation mode keeps the seed's single disk thread; the
-  // pipelined serve path runs a pool plus the dedicated send stage.
+  // pipelined serve path runs a pool.
   const int disk_threads =
       options_.pipelined ? std::max(1, options_.prefetch_threads) : 1;
   disk_threads_.reserve(static_cast<size_t>(disk_threads));
   for (int i = 0; i < disk_threads; ++i) {
     disk_threads_.emplace_back([this] { DiskLoop(); });
-  }
-  if (options_.pipelined) {
-    for (auto& shard : shards_) {
-      ServeShard* raw = shard.get();
-      raw->send_thread = std::thread([this, raw] { SendLoop(*raw); });
-    }
   }
   return Status::Ok();
 }
@@ -261,12 +231,8 @@ void MofSupplier::Stop() {
   for (auto& thread : disk_threads_) {
     if (thread.joinable()) thread.join();
   }
-  // Producers are gone: close the stage boundaries and let each shard's
-  // send thread drain already-read replies before exiting.
-  for (auto& shard : shards_) shard->send_queue.Close();
-  for (auto& shard : shards_) {
-    if (shard->send_thread.joinable()) shard->send_thread.join();
-  }
+  // No disk thread can call SendAsync any more; stopping the endpoint drops
+  // every unsent frame and, with it, the lease on its DataCache buffer.
   if (endpoint_) endpoint_->Stop();
   RefreshGauges();
 }
@@ -300,7 +266,7 @@ MofSupplier::SupplierStats MofSupplier::supplier_stats() const {
   out.shed = shed_queue_c_->value() + shed_inflight_c_->value() +
              shed_datacache_c_->value();
   out.index = index_cache_.stats();
-  out.fd = AggregateFdStats();
+  out.fd = fd_cache_.stats();
   out.request_latency_ms = request_latency_ms_h_->summary();
   return out;
 }
@@ -312,9 +278,8 @@ void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {
       JBS_WARN << "MofSupplier: undecodable hello frame";
       return;
     }
-    ServeShard& shard = ConnShardOf(conn);
-    MutexLock lock(shard.caps_mu);
-    shard.conn_caps[conn] = hello->caps;
+    MutexLock lock(caps_mu_);
+    conn_caps_[conn] = hello->caps;
     return;
   }
   auto request = DecodeRequest(frame);
@@ -326,11 +291,10 @@ void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {
   requests_c_->Increment();
   PendingRequest pending{conn, *request, std::chrono::steady_clock::now()};
   if (options_.wire_compress) {
-    ServeShard& shard = ConnShardOf(conn);
-    MutexLock lock(shard.caps_mu);
-    auto it = shard.conn_caps.find(conn);
+    MutexLock lock(caps_mu_);
+    auto it = conn_caps_.find(conn);
     pending.compress_ok =
-        it != shard.conn_caps.end() && (it->second & kCapWireCompression) != 0;
+        it != conn_caps_.end() && (it->second & kCapWireCompression) != 0;
   }
   {
     MutexLock lock(mu_);
@@ -380,9 +344,8 @@ void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {
 
 void MofSupplier::OnDisconnect(net::ConnId conn) {
   {
-    ServeShard& shard = ConnShardOf(conn);
-    MutexLock lock(shard.caps_mu);
-    shard.conn_caps.erase(conn);
+    MutexLock lock(caps_mu_);
+    conn_caps_.erase(conn);
   }
   uint64_t purged = 0;
   uint64_t released_bytes = 0;
@@ -407,9 +370,8 @@ void MofSupplier::OnDisconnect(net::ConnId conn) {
   }
   admitted_bytes_.fetch_sub(released_bytes, std::memory_order_relaxed);
   if (purged > 0) disconnect_purges_c_->Increment(purged);
-  // Requests already checked out by a disk thread or sitting in the send
-  // queue still flow through; their SendAsync fails against the dead
-  // ConnId and is counted as an error.
+  // Requests already checked out by a disk thread still flow through;
+  // the transport drops their reply against the dead ConnId.
 }
 
 bool MofSupplier::NextBatch(std::vector<PendingRequest>* batch,
@@ -453,13 +415,9 @@ void MofSupplier::DiskLoop() {
   while (NextBatch(&batch, &group_key)) {
     batches_c_->Increment();
     for (const PendingRequest& pending : batch) {
-      if (options_.pipelined) {
-        PrefetchOne(pending);
-      } else {
-        ServeInline(pending);
-      }
+      ServeOne(pending);
       // Admission byte budget: the request is no longer "inflight" once
-      // the disk stage is done with it, whatever the outcome — replies
+      // its disk thread is done with it, whatever the outcome — replies
       // queued past this point are bounded by DataCache buffers instead.
       admitted_bytes_.fetch_sub(pending.request.max_len,
                                 std::memory_order_relaxed);
@@ -475,9 +433,11 @@ void MofSupplier::DiskLoop() {
 
 bool MofSupplier::ResolveRequest(
     const PendingRequest& pending, mr::MofHandle* handle,
-    FetchDataHeader* header, uint64_t* disk_offset, uint64_t* chunk,
-    const std::function<void(const std::string&)>& fail) {
+    FetchDataHeader* header, uint64_t* disk_offset, uint64_t* chunk) {
   const FetchRequest& request = pending.request;
+  const auto fail = [&](const std::string& message) {
+    SendError(pending.conn, request, message);
+  };
   bool found = false;
   {
     MutexLock lock(mu_);
@@ -529,10 +489,9 @@ bool MofSupplier::ResolveRequest(
 Status MofSupplier::PreadInto(const mr::MofHandle& handle, uint64_t offset,
                               std::span<uint8_t> out) {
   const std::string path = handle.data_path.string();
-  FdCache& fd_cache = PathShardOf(path).fd_cache;
   Status st = Internal("pread not attempted");
   for (int attempt = 0; attempt < kPreadAttempts; ++attempt) {
-    auto file = fd_cache.Open(path);
+    auto file = fd_cache_.Open(path);
     if (!file.ok()) {
       // NotFound (the MOF is gone) won't improve on retry.
       if (file.status().code() == StatusCode::kNotFound) {
@@ -546,7 +505,7 @@ Status MofSupplier::PreadInto(const mr::MofHandle& handle, uint64_t offset,
     if (st.ok()) return st;
     // A failed read may mean the descriptor went stale (file replaced);
     // drop it so the retry (and any later request) reopens the path.
-    fd_cache.Invalidate(path);
+    fd_cache_.Invalidate(path);
   }
   return st;
 }
@@ -590,9 +549,8 @@ MofSupplier::CompressMemo MofSupplier::LookupCompressed(
     std::shared_ptr<const std::vector<uint8_t>>* payload, uint32_t* crc) {
   const CrcKey key{request.map_task, request.partition, request.offset,
                    chunk};
-  ServeShard& shard = MemoShardOf(key);
-  MutexLock lock(shard.compress_mu);
-  const CompressedChunk* cached = shard.compress_cache.Get(key);
+  MutexLock lock(compress_mu_);
+  const CompressedChunk* cached = compress_cache_.Get(key);
   if (cached == nullptr) return CompressMemo::kMiss;
   if (cached->data == nullptr) return CompressMemo::kIncompressible;
   *payload = cached->data;
@@ -610,26 +568,25 @@ std::shared_ptr<const std::vector<uint8_t>> MofSupplier::CompressAndMemoize(
   const CrcKey key{request.map_task, request.partition, request.offset,
                    static_cast<uint64_t>(data.size())};
   const double min_ratio = options_.wire_compress_min_ratio;
-  ServeShard& shard = MemoShardOf(key);
   if (static_cast<double>(compressed.size()) >
       static_cast<double>(data.size()) * min_ratio) {
     compress_bailouts_c_->Increment();
-    MutexLock lock(shard.compress_mu);
-    shard.compress_cache.Put(key, CompressedChunk{});  // memoized: ship raw
+    MutexLock lock(compress_mu_);
+    compress_cache_.Put(key, CompressedChunk{});  // memoized: ship raw
     return nullptr;
   }
   auto shared =
       std::make_shared<const std::vector<uint8_t>>(std::move(compressed));
   *crc = Crc32(*shared);
-  MutexLock lock(shard.compress_mu);
-  shard.compress_cache.Put(key, CompressedChunk{shared, *crc});
+  MutexLock lock(compress_mu_);
+  compress_cache_.Put(key, CompressedChunk{shared, *crc});
   return shared;
 }
 
-void MofSupplier::EnqueueCompressed(
+void MofSupplier::SendCompressed(
     const PendingRequest& pending, FetchDataHeader header, uint64_t chunk,
-    std::shared_ptr<const std::vector<uint8_t>> payload, uint32_t payload_crc,
-    bool inline_send) {
+    std::shared_ptr<const std::vector<uint8_t>> payload,
+    uint32_t payload_crc) {
   // kChunkCompressed must be in `flags` before the CRC fold — the flag is
   // header-covered so a stripped flag (which would make the client merge
   // compressed bytes as data) is detected as corruption.
@@ -641,46 +598,36 @@ void MofSupplier::EnqueueCompressed(
   chunks_compressed_c_->Increment();
   compress_ratio_h_->Observe(static_cast<double>(chunk) /
                              static_cast<double>(payload->size()));
-  ReadyReply ready;
-  ready.conn = pending.conn;
-  ready.chunk = chunk;
-  ready.wire = payload->size();
-  ready.enqueued = pending.enqueued;
+  const uint64_t wire = payload->size();
   // The memoized vector is the frame's lease: retransmits of a hot chunk
   // all ride the same immutable buffer, alive until the last byte of the
   // last in-flight copy is on the wire.
   const std::span<const uint8_t> view{payload->data(), payload->size()};
-  ready.frame = EncodeDataZeroCopy(header, view, std::move(payload));
-  if (inline_send) {
-    const uint64_t wire = ready.wire;
-    Status st = endpoint_->SendAsync(ready.conn, std::move(ready.frame));
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - ready.enqueued)
-            .count();
-    if (st.ok()) {
-      bytes_served_c_->Increment(chunk);
-      wire_bytes_logical_c_->Increment(chunk);
-      wire_bytes_wire_c_->Increment(wire);
-      request_latency_ms_h_->Observe(latency_ms);
-    } else {
-      errors_c_->Increment();
-    }
-    return;
-  }
-  (void)ConnShardOf(pending.conn).send_queue.Push(std::move(ready));
+  SendChunk(pending, EncodeDataZeroCopy(header, view, std::move(payload)),
+            chunk, wire);
 }
 
-void MofSupplier::PrefetchOne(const PendingRequest& pending) {
+void MofSupplier::SendChunk(const PendingRequest& pending, Frame frame,
+                            uint64_t chunk, uint64_t wire) {
+  if (!endpoint_->SendAsync(pending.conn, std::move(frame)).ok()) {
+    errors_c_->Increment();
+    return;
+  }
+  bytes_served_c_->Increment(chunk);
+  wire_bytes_logical_c_->Increment(chunk);
+  wire_bytes_wire_c_->Increment(wire);
+  request_latency_ms_h_->Observe(
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - pending.enqueued)
+          .count());
+}
+
+void MofSupplier::ServeOne(const PendingRequest& pending) {
   mr::MofHandle handle;
   FetchDataHeader header;
   uint64_t disk_offset = 0;
   uint64_t chunk = 0;
-  if (!ResolveRequest(pending, &handle, &header, &disk_offset, &chunk,
-                      [&](const std::string& message) {
-                        EnqueueError(pending.conn, pending.request, message,
-                                     pending.enqueued);
-                      })) {
+  if (!ResolveRequest(pending, &handle, &header, &disk_offset, &chunk)) {
     return;
   }
   // Wire-compression gate. A memoized compressed chunk is served straight
@@ -693,8 +640,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
     switch (LookupCompressed(pending.request, chunk, &memo, &memo_crc)) {
       case CompressMemo::kCompressed:
         compress_cache_hits_c_->Increment();
-        EnqueueCompressed(pending, header, chunk, std::move(memo), memo_crc,
-                          /*inline_send=*/false);
+        SendCompressed(pending, header, chunk, std::move(memo), memo_crc);
         return;
       case CompressMemo::kIncompressible:
         compress_cache_hits_c_->Increment();
@@ -748,8 +694,7 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
     Status st = PreadInto(handle, disk_offset,
                           {buffer.data(), static_cast<size_t>(chunk)});
     if (!st.ok()) {
-      EnqueueError(pending.conn, pending.request, st.ToString(),
-                   pending.enqueued);
+      SendError(pending.conn, pending.request, st.ToString());
       return;
     }
   }
@@ -761,17 +706,15 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
         &payload_crc);
     if (payload != nullptr) {
       // The pooled buffer is released here (compressed copy supersedes it).
-      EnqueueCompressed(pending, header, chunk, std::move(payload),
-                        payload_crc, /*inline_send=*/false);
+      SendCompressed(pending, header, chunk, std::move(payload),
+                     payload_crc);
       return;
     }
     // Bail-out: fall through and ship the bytes we already read, raw.
   }
-  // CRC in the disk stage: the hash overlaps the send stage's transmits
+  // CRC on the disk thread: the hash overlaps the loop thread's transmits
   // the same way the reads do.
   StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
-  ReadyReply ready;
-  ready.conn = pending.conn;
   // Ownership handoff, not a copy: the chunk rides as the frame's `ext`
   // view and the buffer itself becomes the frame's lease, returning to
   // the DataCache only when the transport finishes with it.
@@ -781,129 +724,18 @@ void MofSupplier::PrefetchOne(const PendingRequest& pending) {
   // (null) lease.
   const std::span<const uint8_t> chunk_view{
       static_cast<const uint8_t*>(lease.get()), static_cast<size_t>(chunk)};
-  ready.frame = EncodeDataZeroCopy(header, chunk_view, std::move(lease));
-  ready.chunk = chunk;
-  ready.wire = chunk;
-  ready.enqueued = pending.enqueued;
-  // Push only fails once the queue is closed (shutdown); the dropped
-  // reply's lease returns the buffer via its destructor.
-  (void)ConnShardOf(pending.conn).send_queue.Push(std::move(ready));
+  SendChunk(pending, EncodeDataZeroCopy(header, chunk_view, std::move(lease)),
+            chunk, chunk);
 }
 
-void MofSupplier::SendLoop(ServeShard& shard) {
-  while (auto ready = shard.send_queue.Pop()) {
-    if (ready->is_error) {
-      endpoint_->SendAsync(ready->conn, EncodeError(ready->error));
-      errors_c_->Increment();
-      continue;
-    }
-    // The frame was encoded in the disk stage (a 32-byte owned header plus
-    // a borrowed chunk view); nothing to copy here — just hand the lease
-    // to the transport.
-    const uint64_t chunk = ready->chunk;
-    const uint64_t wire = ready->wire;
-    Status st = endpoint_->SendAsync(ready->conn, std::move(ready->frame));
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - ready->enqueued)
-            .count();
-    if (st.ok()) {
-      bytes_served_c_->Increment(chunk);
-      wire_bytes_logical_c_->Increment(chunk);
-      wire_bytes_wire_c_->Increment(wire);
-      request_latency_ms_h_->Observe(latency_ms);
-    } else {
-      errors_c_->Increment();
-    }
-  }
-}
-
-void MofSupplier::ServeInline(const PendingRequest& pending) {
-  const FetchRequest& request = pending.request;
-  mr::MofHandle handle;
-  FetchDataHeader header;
-  uint64_t disk_offset = 0;
-  uint64_t chunk = 0;
-  if (!ResolveRequest(pending, &handle, &header, &disk_offset, &chunk,
-                      [&](const std::string& message) {
-                        SendErrorNow(pending.conn, request, message);
-                      })) {
-    return;
-  }
-  // Same wire-compression gate as the pipelined path, transmitted inline.
-  bool want_compress = false;
-  if (WireCompressEligible(pending, header, chunk)) {
-    std::shared_ptr<const std::vector<uint8_t>> memo;
-    uint32_t memo_crc = 0;
-    switch (LookupCompressed(request, chunk, &memo, &memo_crc)) {
-      case CompressMemo::kCompressed:
-        compress_cache_hits_c_->Increment();
-        EnqueueCompressed(pending, header, chunk, std::move(memo), memo_crc,
-                          /*inline_send=*/true);
-        return;
-      case CompressMemo::kIncompressible:
-        compress_cache_hits_c_->Increment();
-        break;
-      case CompressMemo::kMiss:
-        compress_cache_misses_c_->Increment();
-        want_compress = true;
-        break;
-    }
-  }
-  PooledBuffer buffer = data_cache_.Acquire();
-  if (!buffer.valid()) return;
-  if (chunk > 0) {
-    Status st = PreadInto(handle, disk_offset,
-                          {buffer.data(), static_cast<size_t>(chunk)});
-    if (!st.ok()) {
-      SendErrorNow(pending.conn, request, st.ToString());
-      return;
-    }
-  }
-  buffer.set_size(static_cast<size_t>(chunk));
-  if (want_compress) {
-    uint32_t payload_crc = 0;
-    auto payload = CompressAndMemoize(
-        request, {buffer.data(), static_cast<size_t>(chunk)}, &payload_crc);
-    if (payload != nullptr) {
-      EnqueueCompressed(pending, header, chunk, std::move(payload),
-                        payload_crc, /*inline_send=*/true);
-      return;
-    }
-  }
-  StampChunkCrc(&header, {buffer.data(), static_cast<size_t>(chunk)});
-  // Same zero-copy handoff as the pipelined path; "serialized" here means
-  // one request at a time, not extra memcpys.
-  auto lease = MakeBufferLease(std::move(buffer));
-  const std::span<const uint8_t> chunk_view{
-      static_cast<const uint8_t*>(lease.get()), static_cast<size_t>(chunk)};
-  Frame frame = EncodeDataZeroCopy(header, chunk_view, std::move(lease));
-  Status st = endpoint_->SendAsync(pending.conn, std::move(frame));
-  const double latency_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - pending.enqueued)
-          .count();
-  if (st.ok()) {
-    bytes_served_c_->Increment(chunk);
-    wire_bytes_logical_c_->Increment(chunk);
-    wire_bytes_wire_c_->Increment(chunk);
-    request_latency_ms_h_->Observe(latency_ms);
-  } else {
-    errors_c_->Increment();
-  }
-}
-
-void MofSupplier::EnqueueError(net::ConnId conn, const FetchRequest& request,
-                               const std::string& message,
-                               std::chrono::steady_clock::time_point enqueued) {
-  ReadyReply ready;
-  ready.conn = conn;
-  ready.is_error = true;
-  ready.error.map_task = request.map_task;
-  ready.error.partition = request.partition;
-  ready.error.message = message;
-  ready.enqueued = enqueued;
-  (void)ConnShardOf(conn).send_queue.Push(std::move(ready));
+void MofSupplier::SendError(net::ConnId conn, const FetchRequest& request,
+                            const std::string& message) {
+  FetchError error;
+  error.map_task = request.map_task;
+  error.partition = request.partition;
+  error.message = message;
+  endpoint_->SendAsync(conn, EncodeError(error));
+  errors_c_->Increment();
 }
 
 void MofSupplier::SendBusy(net::ConnId conn, const FetchRequest& request,
@@ -922,16 +754,6 @@ uint32_t MofSupplier::RetryAfterHintMs(size_t queued) const {
   // deep queue spreads the retry storm out. Capped so a pathological
   // backlog can't park mergers for whole seconds per attempt.
   return static_cast<uint32_t>(std::min<size_t>(1000, 5 + queued));
-}
-
-void MofSupplier::SendErrorNow(net::ConnId conn, const FetchRequest& request,
-                               const std::string& message) {
-  FetchError error;
-  error.map_task = request.map_task;
-  error.partition = request.partition;
-  error.message = message;
-  endpoint_->SendAsync(conn, EncodeError(error));
-  errors_c_->Increment();
 }
 
 }  // namespace jbs::shuffle

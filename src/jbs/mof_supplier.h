@@ -1,41 +1,34 @@
 // MOFSupplier (§III-B): the native server half of JBS. One per node,
 // replacing the TaskTracker's HttpServlets. Incoming fetch requests are
-// grouped by their target MOF and ordered by requested segment; the serve
-// path is a two-stage pipeline:
-//
-//   prefetch stage — a pool of disk threads pops round-robin batches
-//     (one group checked out per thread at a time, so replies for a
-//     (map, partition) stay in offset order), preads segments into
-//     DataCache pooled buffers through an LRU fd cache, and hands ready
-//     buffers to the send stage;
-//   send stage — one thread per serve shard (Options::serve_shards;
-//     connections route to shards by ConnId, so a connection's replies
-//     stay ordered) that hands the pre-encoded scatter-gather frames to
-//     the transport's event thread. The chunk bytes are
-//     never copied into the frame: the pooled buffer rides along as the
-//     frame's lease and returns to the DataCache only after the transport
-//     has put its last byte on the wire.
+// grouped by their target MOF and ordered by requested segment, then served
+// by a pool of disk threads that each do the whole serve path for a batch:
+// pop a round-robin batch (one group checked out per thread at a time, so
+// replies for a (map, partition) stay in offset order), pread each chunk
+// into a DataCache pooled buffer through an LRU fd cache, stamp its CRC,
+// and hand the scatter-gather frame to the transport with SendAsync. The
+// transport's event loop is the asynchronous network side: SendAsync never
+// blocks, and the chunk bytes are never copied into the frame — the pooled
+// buffer rides along as the frame's lease and returns to the DataCache only
+// after the loop has put its last byte on the wire.
 //
 // Disk reads for request N+1 therefore overlap the network transmit of
-// request N (Fig. 5), and DataCache exhaustion — which now includes
-// buffers still in flight on the socket — throttles the disk stage ahead
-// of the network, where the stock HttpServlet serializes read and
-// transmit per request (Fig. 4). With `pipelined = false` the supplier
-// degrades to the seed's serialized single-thread read-then-send service
-// for the paper ablation.
+// request N (Fig. 5), and DataCache exhaustion — which includes buffers
+// still in flight on the socket — throttles the disk threads ahead of the
+// network, where the stock HttpServlet serializes read and transmit per
+// request (Fig. 4). With `pipelined = false` the supplier degrades to one
+// disk thread serving one global FIFO a request at a time, the seed's
+// serialized service, for the paper ablation.
 #pragma once
 
 #include <atomic>
 #include <climits>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/fd_cache.h"
 #include "common/lru_cache.h"
@@ -61,8 +54,8 @@ class MofSupplier final : public mr::ShuffleServer {
     bool chunk_crc = true;    // stamp every data chunk with a CRC32 the
                               // client can verify before merging
     // Negotiated wire compression: chunks served to clients that advertised
-    // kCapWireCompression in their hello are LZSS-compressed in the
-    // prefetch stage when at least `wire_compress_min_bytes` long and not
+    // kCapWireCompression in their hello are LZSS-compressed by the disk
+    // thread when at least `wire_compress_min_bytes` long and not
     // already segment-compressed on disk. The compressed bytes are memoized
     // in an LRU (compress once per chunk across retransmits); chunks whose
     // compressed size exceeds `chunk * wire_compress_min_ratio` are
@@ -74,7 +67,7 @@ class MofSupplier final : public mr::ShuffleServer {
     double wire_compress_min_ratio = 0.9;
     size_t compress_cache_entries = 1024;  // compressed-chunk memo (LRU)
     int prefetch_batch = 4;   // requests served per group per turn
-    int prefetch_threads = 2; // disk-stage pool (pipelined mode only)
+    int prefetch_threads = 2; // disk-thread pool (pipelined mode only)
     bool pipelined = true;    // ablation: false degrades to serialized
                               // per-request service (HttpServlet-like)
     // Overload control (DESIGN.md §16). Admission is decided at frame
@@ -87,22 +80,13 @@ class MofSupplier final : public mr::ShuffleServer {
     size_t admission_max_queue = 0;
     uint64_t admission_max_inflight_bytes = 0;
     // DataCache occupancy watermark: once the fraction of pool buffers in
-    // use reaches it, the prefetch stage switches from "block on Acquire"
+    // use reaches it, the disk threads switch from "block on Acquire"
     // (natural pipeline backpressure) to a bounded wait of
     // `admission_acquire_timeout_ms` that sheds the request with
     // kErrorBusy on expiry — saturation then pushes back to the merger
     // instead of parking disk threads indefinitely. 0 disables.
     double admission_datacache_watermark = 0;
     int admission_acquire_timeout_ms = 100;
-    // Thread-per-core serve sharding (DESIGN.md §15): number of
-    // independent serve shards, each owning its own fd-cache, compress
-    // memo, capability map, and send stage. Connections route by
-    // ConnId (whose low bits are the transport's accepting-loop index, so
-    // shards align with accepting cores when this matches
-    // TcpTransportOptions::num_loops); chunk memos route by content key
-    // so retransmits from any connection share one entry. 0 = one per
-    // core capped at 8; default 1 preserves the single send stage.
-    int serve_shards = 1;
     // Calibrated disk model for benchmarking on hardware whose storage is
     // far faster than the paper's spindles: each pread is charged
     // `disk_seek_ms` when it does not continue that file's previous read,
@@ -165,30 +149,14 @@ class MofSupplier final : public mr::ShuffleServer {
     FetchRequest request;
     std::chrono::steady_clock::time_point enqueued;
     // Captured at enqueue time from the connection's hello so the disk
-    // stage never touches the caps map: did this peer advertise
+    // threads never touch the caps map: did this peer advertise
     // kCapWireCompression (and is the knob on)?
     bool compress_ok = false;
   };
 
-  /// One ready reply travelling from the prefetch stage to the send stage.
-  /// Data replies carry a pre-encoded scatter-gather frame whose lease
-  /// (pooled buffer or fd-cache handle) keeps the chunk bytes alive until
-  /// the transport has put them on the wire; error replies carry just the
-  /// FetchError.
-  struct ReadyReply {
-    net::ConnId conn = 0;
-    bool is_error = false;
-    Frame frame;
-    uint64_t chunk = 0;  // logical (decompressed) data bytes
-    uint64_t wire = 0;   // payload bytes on the wire (== chunk unless the
-                         // chunk went out compressed)
-    FetchError error;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
   void OnFrame(net::ConnId conn, Frame frame) EXCLUDES(mu_);
-  /// Drops queued requests from a departed connection so the disk stage
-  /// doesn't read (and the send stage doesn't encode) for a dead peer.
+  /// Drops queued requests from a departed connection so the disk threads
+  /// don't read for a dead peer.
   void OnDisconnect(net::ConnId conn) EXCLUDES(mu_);
   void DiskLoop() EXCLUDES(mu_);
   /// Pops the next round-robin batch and checks its group out (busy) so no
@@ -196,21 +164,19 @@ class MofSupplier final : public mr::ShuffleServer {
   /// exists or shutdown; false on shutdown. Drained group queues are erased.
   bool NextBatch(std::vector<PendingRequest>* batch, int* group_key)
       EXCLUDES(mu_);
-  /// Pipelined stage 1: pread into a pooled buffer, hand to the send stage.
-  void PrefetchOne(const PendingRequest& pending);
-  /// Serialized ablation path: read + encode + transmit inline (seed
-  /// behavior).
-  void ServeInline(const PendingRequest& pending);
+  /// The whole serve path for one request: resolve, pread into a pooled
+  /// buffer (or reuse the compress memo), stamp the CRC, SendAsync.
+  void ServeOne(const PendingRequest& pending);
   /// Resolves the request to (handle, index entry, chunk length); on any
-  /// validation failure reports the error via `fail` and returns false.
+  /// validation failure sends the error reply and returns false.
   bool ResolveRequest(const PendingRequest& pending, mr::MofHandle* handle,
                       FetchDataHeader* header, uint64_t* disk_offset,
-                      uint64_t* chunk,
-                      const std::function<void(const std::string&)>& fail)
-      EXCLUDES(mu_);
-  void EnqueueError(net::ConnId conn, const FetchRequest& request,
-                    const std::string& message,
-                    std::chrono::steady_clock::time_point enqueued);
+                      uint64_t* chunk) EXCLUDES(mu_);
+  /// Hands a data frame to the transport and accounts the served chunk.
+  void SendChunk(const PendingRequest& pending, Frame frame, uint64_t chunk,
+                 uint64_t wire);
+  void SendError(net::ConnId conn, const FetchRequest& request,
+                 const std::string& message);
   /// Immediate kErrorBusy pushback for a shed request. Never blocks: the
   /// frame goes straight to the transport's async send queue, so shedding
   /// stays cheap exactly when the supplier is drowning.
@@ -218,8 +184,6 @@ class MofSupplier final : public mr::ShuffleServer {
                 uint32_t retry_after_ms);
   /// Backlog-proportional retry hint carried in busy replies.
   uint32_t RetryAfterHintMs(size_t queued) const;
-  void SendErrorNow(net::ConnId conn, const FetchRequest& request,
-                    const std::string& message);
   Status PreadInto(const mr::MofHandle& handle, uint64_t offset,
                    std::span<uint8_t> out);
   /// Stamps `header` with the full wire CRC (kChunkHasCrc) over the
@@ -243,13 +207,12 @@ class MofSupplier final : public mr::ShuffleServer {
   std::shared_ptr<const std::vector<uint8_t>> CompressAndMemoize(
       const FetchRequest& request, std::span<const uint8_t> data,
       uint32_t* crc);
-  /// Queues a kChunkCompressed reply whose payload rides the memoized
-  /// vector as the frame's lease (no copy). `inline_send` transmits
-  /// directly (serialized ablation mode) instead of via the send stage.
-  void EnqueueCompressed(const PendingRequest& pending, FetchDataHeader header,
-                         uint64_t chunk,
-                         std::shared_ptr<const std::vector<uint8_t>> payload,
-                         uint32_t payload_crc, bool inline_send);
+  /// Sends a kChunkCompressed reply whose payload rides the memoized
+  /// vector as the frame's lease (no copy).
+  void SendCompressed(const PendingRequest& pending, FetchDataHeader header,
+                      uint64_t chunk,
+                      std::shared_ptr<const std::vector<uint8_t>> payload,
+                      uint32_t payload_crc);
   /// Sleeps for the modeled disk time of a pread (see
   /// Options::disk_seek_ms); no-op when the model is disabled.
   void ChargeDiskModel(int fd, uint64_t offset, size_t bytes)
@@ -257,7 +220,7 @@ class MofSupplier final : public mr::ShuffleServer {
   /// Labels shared by all of this supplier's metrics.
   MetricLabels BaseLabels() const;
   /// Re-exports component-owned values (cache hit counters, DataCache
-  /// occupancy, send-queue depth, endpoint byte counts) as push gauges.
+  /// occupancy, endpoint byte counts) as push gauges.
   /// Called from the stats accessors and Stop(), so dumps taken after
   /// shutdown still carry final values.
   void RefreshGauges() const;
@@ -311,51 +274,16 @@ class MofSupplier final : public mr::ShuffleServer {
   MetricCounter* wire_bytes_wire_c_ = nullptr;
   MetricHistogram* compress_ratio_h_ = nullptr;
 
-  // §15 thread-per-core serve state: one shard per serving core, each
-  // owning the caches and the send stage for the work routed to it, so
-  // two cores serving different connections share no locks on the
-  // per-byte path. Content-keyed state (chunk memos, fd cache) routes by
-  // hash so retransmits from any connection share one entry;
-  // connection-keyed state (caps, send queue) routes by ConnId so a
-  // connection's frames stay ordered through a single send thread.
-  struct ServeShard {
-    ServeShard(size_t fd_entries, size_t compress_entries,
-               size_t queue_capacity)
-        : fd_cache(fd_entries),
-          compress_cache(compress_entries),
-          send_queue(queue_capacity) {}
-    FdCache fd_cache;
-    Mutex compress_mu;
-    LruCache<CrcKey, CompressedChunk, CrcKeyHash> compress_cache
-        GUARDED_BY(compress_mu);
-    // Per-connection capabilities from the hello frame, erased on
-    // disconnect. The transport invokes a connection's handlers from its
-    // pinned loop thread, so only same-shard threads contend here.
-    Mutex caps_mu;
-    std::map<net::ConnId, uint32_t> conn_caps GUARDED_BY(caps_mu);
-    BlockingQueue<ReadyReply> send_queue;
-    std::thread send_thread;
-  };
-  std::vector<std::unique_ptr<ServeShard>> shards_;
-
-  ServeShard& MemoShardOf(const CrcKey& key) const {
-    return *shards_[CrcKeyHash{}(key) % shards_.size()];
-  }
-  ServeShard& PathShardOf(const std::string& path) const {
-    return *shards_[std::hash<std::string>{}(path) % shards_.size()];
-  }
-  // ConnId low bits are the transport's accepting-loop index (see
-  // tcp_transport), so serve shards align with accepting cores when
-  // serve_shards matches the transport's loop count.
-  ServeShard& ConnShardOf(net::ConnId conn) const {
-    return *shards_[static_cast<size_t>(conn) % shards_.size()];
-  }
-
-  /// Pipelined stage 2 (one per shard): encode ready buffers and hand
-  /// frames to the transport event thread.
-  void SendLoop(ServeShard& shard);
-  /// Sums per-shard fd-cache counters for scrape-time reporting.
-  FdCache::Stats AggregateFdStats() const;
+  FdCache fd_cache_;
+  // Per-group checkout already keeps two disk threads off the same chunk;
+  // the lock only guards the LRU's own structure.
+  Mutex compress_mu_;
+  LruCache<CrcKey, CompressedChunk, CrcKeyHash> compress_cache_
+      GUARDED_BY(compress_mu_);
+  // Per-connection capabilities from the hello frame, erased on
+  // disconnect. Written from the transport's loop threads.
+  Mutex caps_mu_;
+  std::map<net::ConnId, uint32_t> conn_caps_ GUARDED_BY(caps_mu_);
 
   // Observability plumbing: pointers into metrics_ (never null; falls back
   // to the owned registry when options don't share one).
@@ -394,7 +322,7 @@ class MofSupplier final : public mr::ShuffleServer {
   // thread — the admission queue depth.
   size_t queued_requests_ GUARDED_BY(mu_) = 0;
   // Admission byte budget: sum of max_len over requests admitted but not
-  // yet served. Charged at intake, released when the disk stage finishes
+  // yet served. Charged at intake, released when a disk thread finishes
   // the request (any outcome) or a disconnect purges it.
   std::atomic<uint64_t> admitted_bytes_{0};
   // Round-robin pointer (last group served).

@@ -82,8 +82,6 @@ JbsShufflePlugin::Options JbsShufflePlugin::OptionsFromConfig(
       static_cast<int>(conf.GetInt(conf::kPushbackRetryBudget, 32));
   options.transport_loops =
       static_cast<int>(conf.GetInt(conf::kTransportLoops, 1));
-  options.serve_shards =
-      static_cast<int>(conf.GetInt(conf::kServeShards, 1));
   return options;
 }
 
@@ -108,7 +106,6 @@ std::unique_ptr<mr::ShuffleServer> JbsShufflePlugin::CreateServer(
   sopts.wire_compress_min_bytes = options_.wire_compress_min_bytes;
   sopts.wire_compress_min_ratio = options_.wire_compress_min_ratio;
   sopts.compress_cache_entries = options_.compress_cache_entries;
-  sopts.serve_shards = options_.serve_shards;
   sopts.admission_max_queue = options_.admission_max_queue;
   sopts.admission_max_inflight_bytes = options_.admission_max_inflight_bytes;
   sopts.admission_datacache_watermark = options_.admission_datacache_watermark;

@@ -61,10 +61,8 @@ struct JbsOptions {
   int admission_acquire_timeout_ms = 100;
   int pushback_retry_budget = 32;
   // Thread-per-core serve path (DESIGN.md §15): TCP server loop-shard
-  // count (0 = per core, capped at 8) and MofSupplier serve shards (0 =
-  // per core; connections pin to the shard matching their accepting loop).
+  // count (0 = per core, capped at 8).
   int transport_loops = 1;
-  int serve_shards = 1;
 };
 
 class JbsShufflePlugin final : public mr::ShufflePlugin {

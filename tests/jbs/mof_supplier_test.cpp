@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <iterator>
+#include <thread>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -16,6 +19,12 @@ namespace jbs::shuffle {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  return static_cast<size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
 
 class MofSupplierTest : public ::testing::Test {
  protected:
@@ -231,17 +240,15 @@ TEST_F(MofSupplierTest, ConcurrentClientsAllServed) {
   supplier.Stop();
 }
 
-TEST_F(MofSupplierTest, ShardedSupplierServesByteIdenticalAcrossShards) {
-  // Four serve shards over a two-loop transport: connections land on
-  // different shards (ConnId low bits are the accepting-loop index), chunk
-  // memos route by content key, and every reply must stay byte-identical
-  // and ordered per connection.
+TEST_F(MofSupplierTest, TwoLoopTransportServesByteIdenticalOnRefetch) {
+  // Six connections over a two-loop transport: connections land on
+  // different loop threads, the disk threads send into both, and every
+  // reply must stay byte-identical and ordered per connection.
   transport_ = net::MakeTcpTransport({.num_loops = 2});
   MofSupplier::Options options;
   options.transport = transport_.get();
   options.buffer_size = 2048;
   options.buffer_count = 8;
-  options.serve_shards = 4;
   options.chunk_crc = true;
   MofSupplier supplier(options);
   ASSERT_TRUE(supplier.Start().ok());
@@ -273,7 +280,6 @@ TEST_F(MofSupplierTest, ShardedSupplierServesByteIdenticalAcrossShards) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // supplier_stats() must aggregate across shards, not report shard 0.
   EXPECT_GT(supplier.supplier_stats().bytes_served, 0u);
   supplier.Stop();
 }
@@ -308,6 +314,70 @@ TEST_F(MofSupplierTest, SerializedModeStillCorrect) {
   ASSERT_TRUE(reader->ReadSegment(0, expected).ok());
   EXPECT_EQ(*segment, expected);
   supplier.Stop();
+}
+
+TEST_F(MofSupplierTest, RejectsBufferTooSmallForChunkHeader) {
+  // buffer_size - kDataHeaderSize is the chunk bound; at or below the
+  // header size it would underflow and let a remote max_len overrun the
+  // pooled buffer.
+  for (const size_t buffer_size : {size_t{16}, kDataHeaderSize}) {
+    auto supplier = MakeSupplier(buffer_size);
+    const Status st = supplier.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "buffer_size " << buffer_size << ": " << st.ToString();
+  }
+}
+
+TEST_F(MofSupplierTest, StopUnderLoadJoinsThreadsAndReturnsBuffers) {
+  // A client that queues far more chunk requests than there are DataCache
+  // buffers and never reads: socket buffers fill, unsent frames pin every
+  // pooled buffer, and a disk thread parks in Acquire. Stop must still
+  // join every supplier thread and get every buffer back.
+  constexpr size_t kBufferSize = 64 * 1024;
+  constexpr size_t kBuffers = 8;
+  constexpr int kPrefetchThreads = 3;
+  MofSupplier::Options options;
+  options.transport = transport_.get();
+  options.buffer_size = kBufferSize;
+  options.buffer_count = kBuffers;
+  options.prefetch_threads = kPrefetchThreads;
+  MofSupplier supplier(options);
+  const size_t threads_before = ThreadCount();
+  ASSERT_TRUE(supplier.Start().ok());
+  // The disk threads plus the transport's single event loop; no other
+  // thread serves a request.
+  EXPECT_EQ(ThreadCount(), threads_before + kPrefetchThreads + 1);
+  ASSERT_TRUE(supplier.PublishMof(MakeMof(0, 1, 1000)).ok());
+
+  auto conn = transport_->Connect("127.0.0.1", supplier.port());
+  ASSERT_TRUE(conn.ok());
+  // ~26 MB of replies: well past loopback socket buffering.
+  for (int i = 0; i < 400; ++i) {
+    FetchRequest request{0, 0, 0, static_cast<uint32_t>(kBufferSize)};
+    ASSERT_TRUE((*conn)->Send(EncodeRequest(request)).ok());
+  }
+  const MetricLabels labels{{"server", "mofsupplier"}};
+  MetricGauge* in_use = supplier.metrics().GetGauge(
+      "jbs_mofsupplier_datacache_buffers_in_use", labels);
+  MetricGauge* waiters =
+      supplier.metrics().GetGauge("buffer_pool_waiters", labels);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (;;) {
+    (void)supplier.supplier_stats();  // refreshes the gauges
+    if (in_use->value() == static_cast<double>(kBuffers) &&
+        waiters->value() >= 1) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "DataCache never saturated: in_use " << in_use->value()
+        << ", waiters " << waiters->value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  supplier.Stop();
+  EXPECT_EQ(ThreadCount(), threads_before);
+  EXPECT_EQ(in_use->value(), 0.0);
 }
 
 }  // namespace

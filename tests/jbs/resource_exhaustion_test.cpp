@@ -211,8 +211,17 @@ TEST_F(ResourceExhaustionTest, PersistentPreadFailureFailsOverToReplica) {
 
 // --- DataCache exhaustion -> kErrorBusy pushback ---
 
-TEST_F(ResourceExhaustionTest, DataCacheExhaustionShedsWithBusyPushback) {
-  shuffle::MofSupplier* supplier = Boot({}, {MakeMof(0)});
+// Both serve modes take their DataCache buffer through the same admission
+// code, so the serialized ablation sheds exactly like the pipelined pool.
+class ResourceExhaustionServeModeTest
+    : public ResourceExhaustionTest,
+      public ::testing::WithParamInterface<bool> {};
+
+TEST_P(ResourceExhaustionServeModeTest,
+       DataCacheExhaustionShedsWithBusyPushback) {
+  shuffle::MofSupplier::Options sopts;
+  sopts.pipelined = GetParam();
+  shuffle::MofSupplier* supplier = Boot(sopts, {MakeMof(0)});
   const std::vector<mr::MofLocation> locs = {
       {0, 0, "127.0.0.1", supplier->port()}};
   const std::vector<mr::Record> expected = Reference(locs);
@@ -236,6 +245,12 @@ TEST_F(ResourceExhaustionTest, DataCacheExhaustionShedsWithBusyPushback) {
   EXPECT_EQ(supplier->supplier_stats().shed, 2u);
   merger.Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(ServeModes, ResourceExhaustionServeModeTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return param_info.param ? "pipelined" : "serialized";
+                         });
 
 // --- EMFILE storm across a replicated multi-node shuffle ---
 
