@@ -311,7 +311,7 @@ struct PushPoint {
 /// per MB moved.
 bool ConnPushPoint(int conns, size_t frame_bytes, int rounds_per_conn,
                    PushPoint* out, std::string* err) {
-  auto transport = net::MakeTcpTransport({.num_loops = 2});
+  auto transport = net::MakeTcpTransport();
   auto server = transport->CreateServer();
   if (!server.ok()) {
     *err = "CreateServer: " + server.status().ToString();

@@ -68,10 +68,6 @@ int64_t Config::GetSize(const std::string& key, int64_t def) const {
   return ParseSize(*v).value_or(def);
 }
 
-bool Config::Contains(const std::string& key) const {
-  return entries_.count(key) > 0;
-}
-
 void Config::MergeFrom(const Config& other) {
   for (const auto& [k, v] : other.entries_) entries_[k] = v;
 }
@@ -101,7 +97,10 @@ std::optional<int64_t> Config::ParseSize(const std::string& text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<int64_t>(number * multiplier);
+  const double bytes = number * multiplier;
+  // Also rejects NaN, which fails both comparisons.
+  if (!(bytes > -9.2e18 && bytes < 9.2e18)) return std::nullopt;
+  return static_cast<int64_t>(bytes);
 }
 
 }  // namespace jbs

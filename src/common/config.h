@@ -1,7 +1,7 @@
 // Key/value configuration in the style of Hadoop's Configuration/JobConf.
-// All JBS tunables (transport buffer size, connection-cache capacity, slot
-// counts, ...) are carried through this type so examples and benches can
-// sweep them uniformly.
+// The engine reads its job settings from it, and
+// JbsShufflePlugin::OptionsFromConfig turns the jbs.* keys below into a
+// JbsOptions for callers that build a plugin from a Config.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@ class Config {
   /// Parses "64KB", "128MB", "2GB", "512" (bytes) style size strings.
   int64_t GetSize(const std::string& key, int64_t def) const;
 
-  bool Contains(const std::string& key) const;
   size_t size() const { return entries_.size(); }
 
   /// Merges `other` into this config; keys in `other` win.
@@ -45,16 +44,16 @@ class Config {
   std::map<std::string, std::string> entries_;
 };
 
-/// Well-known configuration keys, kept in one place.
+/// Well-known configuration keys, kept in one place. Every jbs.* key is
+/// read by JbsShufflePlugin::OptionsFromConfig; README.md lists each with
+/// its range.
 namespace conf {
+inline constexpr const char* kTransport = "jbs.transport";  // tcp | rdma
 inline constexpr const char* kTransportBufferSize = "jbs.transport.buffer.size";
 inline constexpr const char* kTransportBufferCount =
     "jbs.transport.buffer.count";
-inline constexpr const char* kConnectionCacheCapacity =
-    "jbs.connection.cache.capacity";
-inline constexpr const char* kDataCacheSize = "jbs.mofsupplier.datacache.size";
-inline constexpr const char* kIndexCacheEntries =
-    "jbs.mofsupplier.indexcache.entries";
+inline constexpr const char* kMaxFrameBytes = "jbs.transport.max_frame.bytes";
+inline constexpr const char* kPipelined = "jbs.mofsupplier.pipelined";
 inline constexpr const char* kPrefetchBatch = "jbs.mofsupplier.prefetch.batch";
 inline constexpr const char* kPrefetchThreads =
     "jbs.mofsupplier.prefetch.threads";
@@ -63,6 +62,8 @@ inline constexpr const char* kFdCacheEntries =
 inline constexpr const char* kNetMergerDataThreads =
     "jbs.netmerger.data.threads";
 inline constexpr const char* kFetchWindow = "jbs.netmerger.fetch.window";
+inline constexpr const char* kConsolidate = "jbs.netmerger.consolidate";
+inline constexpr const char* kRoundRobin = "jbs.netmerger.roundrobin";
 // Fetch-path robustness knobs (0 disables the bound).
 inline constexpr const char* kFetchDeadlineMs =
     "jbs.netmerger.fetch.deadline_ms";
@@ -88,9 +89,6 @@ inline constexpr const char* kWireCompressMinBytes =
     "jbs.wire.compress.min_bytes";
 inline constexpr const char* kWireCompressMinRatio =
     "jbs.wire.compress.min_ratio";
-inline constexpr const char* kCompressCacheEntries =
-    "jbs.mofsupplier.compresscache.entries";
-inline constexpr const char* kMaxFrameBytes = "jbs.transport.max_frame.bytes";
 // Overload-control knobs (see DESIGN.md §16). 0 disables the bound.
 inline constexpr const char* kAdmissionMaxQueue =
     "jbs.mofsupplier.admission.max_queue";
@@ -102,13 +100,7 @@ inline constexpr const char* kAdmissionAcquireTimeoutMs =
     "jbs.mofsupplier.admission.acquire_timeout_ms";
 inline constexpr const char* kPushbackRetryBudget =
     "jbs.netmerger.pushback.retry_budget";
-// Thread-per-core serve-path knob (see DESIGN.md §15).
-inline constexpr const char* kTransportLoops = "jbs.transport.loops";
-inline constexpr const char* kMapSlotsPerNode = "mapred.map.slots";
-inline constexpr const char* kReduceSlotsPerNode = "mapred.reduce.slots";
 inline constexpr const char* kBlockSize = "dfs.block.size";
-inline constexpr const char* kSortBufferSize = "mapred.sort.buffer.size";
-inline constexpr const char* kCopierThreads = "mapred.reduce.parallel.copies";
 inline constexpr const char* kCompressMapOutput = "mapred.compress.map.output";
 }  // namespace conf
 

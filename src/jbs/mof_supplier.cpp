@@ -15,6 +15,9 @@ namespace jbs::shuffle {
 
 namespace {
 
+/// Compressed chunks memoized for retransmits (LRU).
+constexpr size_t kCompressCacheEntries = 1024;
+
 /// pread the range at `offset` from `fd` into `out` (already sized).
 /// The `supplier.pread` failpoint scripts EIO/short reads here — the
 /// syscall boundary external chaos can't reach (DESIGN.md §16).
@@ -58,9 +61,8 @@ constexpr int kPreadAttempts = 2;
 MofSupplier::MofSupplier(Options options)
     : options_(options),
       data_cache_(options.buffer_size, options.buffer_count),
-      index_cache_(options.index_cache_entries),
       fd_cache_(std::max<size_t>(1, options.fd_cache_entries)),
-      compress_cache_(std::max<size_t>(1, options.compress_cache_entries)) {
+      compress_cache_(kCompressCacheEntries) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {

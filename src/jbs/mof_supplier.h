@@ -46,10 +46,11 @@ namespace jbs::shuffle {
 class MofSupplier final : public mr::ShuffleServer {
  public:
   struct Options {
+    bool operator==(const Options&) const = default;
+
     net::Transport* transport = nullptr;  // required
     size_t buffer_size = 128 * 1024;      // transport buffer (Fig. 11)
     size_t buffer_count = 64;             // DataCache = size * count
-    size_t index_cache_entries = 1024;
     size_t fd_cache_entries = 128;  // open MOF data-file descriptors
     bool chunk_crc = true;    // stamp every data chunk with a CRC32 the
                               // client can verify before merging
@@ -57,15 +58,14 @@ class MofSupplier final : public mr::ShuffleServer {
     // kCapWireCompression in their hello are LZSS-compressed by the disk
     // thread when at least `wire_compress_min_bytes` long and not
     // already segment-compressed on disk. The compressed bytes are memoized
-    // in an LRU (compress once per chunk across retransmits); chunks whose
-    // compressed size exceeds `chunk * wire_compress_min_ratio` are
-    // memoized as incompressible and ship raw. Off by default: the knob
+    // in a fixed-size LRU (compress once per chunk across retransmits);
+    // chunks whose compressed size exceeds `chunk * wire_compress_min_ratio`
+    // are memoized as incompressible and ship raw. Off by default: the knob
     // trades supplier CPU for wire bytes, which only pays on compressible
     // workloads.
     bool wire_compress = false;
     uint64_t wire_compress_min_bytes = 4096;
     double wire_compress_min_ratio = 0.9;
-    size_t compress_cache_entries = 1024;  // compressed-chunk memo (LRU)
     int prefetch_batch = 4;   // requests served per group per turn
     int prefetch_threads = 2; // disk-thread pool (pipelined mode only)
     bool pipelined = true;    // ablation: false degrades to serialized
@@ -107,6 +107,8 @@ class MofSupplier final : public mr::ShuffleServer {
 
   explicit MofSupplier(Options options);
   ~MofSupplier() override;
+
+  const Options& options() const { return options_; }
 
   Status Start() override;
   uint16_t port() const override;

@@ -12,6 +12,10 @@ namespace jbs::shuffle {
 
 namespace {
 
+/// Remote-node connections a merger keeps open; the least recently used is
+/// closed past this (the paper's cap of 512).
+constexpr size_t kConnectionCacheCapacity = 512;
+
 /// Maps one failed fetch attempt to the health-tracker taxonomy. A dial
 /// that never connected is a connect fault regardless of status code; past
 /// the dial, the status itself decides.
@@ -50,7 +54,7 @@ bool IsPushback(const Status& status) {
 
 NetMerger::NetMerger(Options options)
     : options_(options),
-      connections_(options.transport, options.connection_cache_capacity,
+      connections_(options.transport, kConnectionCacheCapacity,
                    options.connection_idle_ms),
       rng_(options.backoff_jitter_seed) {
   if (options_.metrics != nullptr) {
@@ -62,7 +66,7 @@ NetMerger::NetMerger(Options options)
   if (options_.trace != nullptr) {
     trace_ = options_.trace;
   } else {
-    owned_trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity);
+    owned_trace_ = std::make_unique<TraceRecorder>();
     trace_ = owned_trace_.get();
   }
   // shuffle_* names are shared with the baseline MofCopierClient (same
@@ -93,11 +97,8 @@ NetMerger::NetMerger(Options options)
   pushback_c_ = metrics_->GetCounter("jbs_netmerger_pushback_total", base);
   stats_base_ = {fetches_c_->value(), bytes_fetched_c_->value(),
                  connections_opened_c_->value()};
-  health_ = std::make_unique<NodeHealthTracker>(
-      NodeHealthTracker::Options{
-          options_.health_suspect_after, options_.health_penalize_after,
-          options_.health_penalty_ms, options_.health_penalty_max_ms},
-      metrics_, base);
+  health_ = std::make_unique<NodeHealthTracker>(options_.health, metrics_,
+                                                base);
   workers_.reserve(static_cast<size_t>(options_.data_threads));
   for (int i = 0; i < options_.data_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -309,10 +310,6 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
                                   it->second.compressed);
     JBS_RETURN_IF_ERROR(stream.status());
     streams.push_back(std::move(stream).value());
-  }
-  if (options_.merge_fan_in > 0 &&
-      streams.size() > options_.merge_fan_in) {
-    return mr::HierarchicalMerge(std::move(streams), options_.merge_fan_in);
   }
   return std::unique_ptr<mr::RecordStream>(
       std::make_unique<mr::KWayMerger>(std::move(streams)));

@@ -36,12 +36,13 @@ namespace jbs::shuffle {
 class NetMerger final : public mr::ShuffleClient {
  public:
   struct Options {
+    bool operator==(const Options&) const = default;
+
     net::Transport* transport = nullptr;  // required
     int data_threads = 3;                 // paper: 3 native threads
     size_t chunk_size = 128 * 1024;       // max bytes per fetch round trip
     int fetch_window = 4;  // chunk requests kept in flight per connection
                            // (1 = the seed's stop-and-wait ping-pong)
-    size_t connection_cache_capacity = 512;
     bool consolidate = true;   // ablation: false = connection per fetch
     bool round_robin = true;   // ablation: false = drain nodes in key order
     int max_fetch_attempts = 3;      // transient-failure retries per fetch
@@ -74,28 +75,23 @@ class NetMerger final : public mr::ShuffleClient {
     // Penalty box (see node_health.h): consecutive failures against one
     // remote node mark it suspect, then penalized; injection routes around
     // a penalized node until its sentence expires.
-    int health_suspect_after = 1;
-    int health_penalize_after = 3;  // <= 0 disables the box
-    int64_t health_penalty_ms = 200;
-    int64_t health_penalty_max_ms = 10000;
+    NodeHealthTracker::Options health;
     int max_failovers = 4;  // replica reroutes per fetch (bounds ping-pong
                             // between two half-dead replica holders)
     uint64_t backoff_jitter_seed = 0x6A6274735F6E6D32ull;  // deterministic
-    size_t merge_fan_in = 0;  // >0: hierarchical merge with this fan-in
-                              // (the follow-up paper's [22] tree merge);
-                              // 0 = flat network-levitated merge
     // Observability: a shared MetricsRegistry / TraceRecorder (e.g. the
     // plugin's, so client and server publish into one exposition), or
     // nullptr for a private one owned by this merger. `instance`
     // distinguishes per-instance gauges when the registry is shared.
     MetricsRegistry* metrics = nullptr;
     TraceRecorder* trace = nullptr;
-    size_t trace_capacity = 4096;  // private-recorder ring size
     std::string instance{};
   };
 
   explicit NetMerger(Options options);
   ~NetMerger() override;
+
+  const Options& options() const { return options_; }
 
   StatusOr<std::unique_ptr<mr::RecordStream>> FetchAndMerge(
       int partition, const std::vector<mr::MofLocation>& sources) override

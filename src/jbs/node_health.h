@@ -33,6 +33,8 @@ enum class NodeState : int {
 class NodeHealthTracker {
  public:
   struct Options {
+    bool operator==(const Options&) const = default;
+
     int suspect_after = 1;    // consecutive failures -> suspect
     int penalize_after = 3;   // consecutive failures -> penalized
                               // (<= 0 disables the penalty box entirely)

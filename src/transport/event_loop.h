@@ -2,7 +2,7 @@
 // ("Both client and server use the epoll interface to monitor and detect
 // events from concurrent connections"). One thread runs the loop; other
 // threads inject work via RunInLoop (eventfd wakeup). The endpoint runs
-// one loop per shard (DESIGN.md §15).
+// one loop (DESIGN.md §15).
 #pragma once
 
 #include <atomic>

@@ -288,10 +288,6 @@ class RdmaServerEndpoint final : public ServerEndpoint {
         it->second.qp->PostRecv(wc->wr_id,
                                 it->second.ring->region(WrBuffer(wc->wr_id)));
       }
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.frames_received;
-      }
       if (handlers_.on_frame) handlers_.on_frame(id, std::move(frame));
     }
   }
@@ -312,7 +308,6 @@ class RdmaServerEndpoint final : public ServerEndpoint {
                        frame.ext)
               .ok()) {
         MutexLock slock(stats_mu_);
-        ++stats_.frames_sent;
         stats_.bytes_sent += frame.payload_size();
       }
       send_cq_.Poll();  // drain send completions

@@ -97,8 +97,6 @@ class ServerEndpoint {
 
   struct Stats {
     uint64_t connections_accepted = 0;
-    uint64_t frames_received = 0;
-    uint64_t frames_sent = 0;
     uint64_t bytes_sent = 0;
     /// Frames accepted by SendAsync but not yet fully on the wire — an
     /// instantaneous backlog depth, not a cumulative count.
@@ -128,12 +126,6 @@ struct TcpTransportOptions {
   /// 4-byte length prefix is attacker-controlled; a frame announcing more
   /// than this fails the connection instead of attempting the allocation.
   size_t max_frame_bytes = 64 * 1024 * 1024;
-  /// Server loop shards (thread-per-core data plane). Each accepted
-  /// connection is pinned to one shard for its lifetime; shard state is
-  /// thread-local to its loop, so no cross-core locks sit on the serve
-  /// path. 0 = one shard per available core (capped at 8); default 1
-  /// preserves the single-loop §IV-B model.
-  int num_loops = 1;
 };
 
 /// Creates the TCP/IP transport (§IV-B).

@@ -54,7 +54,7 @@ class ChaosE2ETest : public ::testing::Test {
            ("chaos_e2e_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.num_loops = 2});
+    transport_ = net::MakeTcpTransport();
     flaky_ = std::make_unique<net::FaultInjectingTransport>(transport_.get());
     BuildMofs();
     published_.resize(kNodes);
@@ -145,9 +145,9 @@ class ChaosE2ETest : public ::testing::Test {
     options.chunk_timeout_ms = 300;  // bounds blackholed receives
     options.max_failovers = 64;      // transient chaos must never exhaust
                                      // a fetch's replica budget
-    options.health_penalize_after = 2;
-    options.health_penalty_ms = 100;
-    options.health_penalty_max_ms = 400;
+    options.health.penalize_after = 2;
+    options.health.penalty_ms = 100;
+    options.health.penalty_max_ms = 400;
     return options;
   }
 

@@ -94,7 +94,7 @@ TEST_F(CompressE2eTest, JbsTcpCompressedMatchesPlainAndShrinksWire) {
 TEST_F(CompressE2eTest, JbsRdmaCompressed) {
   shuffle::JbsOptions options;
   options.transport = shuffle::TransportKind::kRdma;
-  options.buffer_size = 16 * 1024;
+  options.supplier.buffer_size = 16 * 1024;
   shuffle::JbsShufflePlugin rdma(options);
   auto compressed = Run(rdma, true, "rdma_comp");
   mr::LocalShufflePlugin local;

@@ -42,8 +42,7 @@ TEST_F(EngineStressTest, TerasortCompressedHierarchicalJbsRdma) {
 
   shuffle::JbsOptions jbs_options;
   jbs_options.transport = shuffle::TransportKind::kRdma;
-  jbs_options.buffer_size = 32 * 1024;
-  jbs_options.merge_fan_in = 4;  // force the tree merge
+  jbs_options.supplier.buffer_size = 32 * 1024;
   shuffle::JbsShufflePlugin plugin(jbs_options);
 
   mr::LocalJobRunner::Options options;
@@ -135,7 +134,6 @@ TEST_F(EngineStressTest, MixedShufflesOnSameDfsAgree) {
   shuffle::JbsShufflePlugin tcp;
   shuffle::JbsOptions rdma_options;
   rdma_options.transport = shuffle::TransportKind::kRdma;
-  rdma_options.merge_fan_in = 3;
   shuffle::JbsShufflePlugin rdma(rdma_options);
   const std::string a = run(tcp, "tcp");
   const std::string b = run(rdma, "rdma");

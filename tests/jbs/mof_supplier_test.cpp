@@ -240,11 +240,10 @@ TEST_F(MofSupplierTest, ConcurrentClientsAllServed) {
   supplier.Stop();
 }
 
-TEST_F(MofSupplierTest, TwoLoopTransportServesByteIdenticalOnRefetch) {
-  // Six connections over a two-loop transport: connections land on
-  // different loop threads, the disk threads send into both, and every
-  // reply must stay byte-identical and ordered per connection.
-  transport_ = net::MakeTcpTransport({.num_loops = 2});
+TEST_F(MofSupplierTest, SixConnectionsRefetchByteIdenticalWithChunkCrc) {
+  // Six concurrent connections each fetch their MOF twice with chunk CRCs
+  // on: every reply must stay byte-identical and ordered per connection,
+  // and every chunk must pass its CRC check on both rounds.
   MofSupplier::Options options;
   options.transport = transport_.get();
   options.buffer_size = 2048;

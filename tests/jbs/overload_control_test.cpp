@@ -167,8 +167,8 @@ TEST_F(OverloadControlTest, MergerTreatsBusyAsPushbackNotFailure) {
   mopts.retry_backoff_ms = 1;
   // Any health-recorded failure would penalize immediately — so a zero
   // penalty count below proves pushback never touched the tracker.
-  mopts.health_suspect_after = 1;
-  mopts.health_penalize_after = 1;
+  mopts.health.suspect_after = 1;
+  mopts.health.penalize_after = 1;
   shuffle::NetMerger merger(mopts);
 
   auto stream = merger.FetchAndMerge(
@@ -244,7 +244,7 @@ TEST_F(OverloadControlTest, OverloadedShuffleCompletesByteIdentical) {
     mopts.fetch_window = 1;   // stop-and-wait: shed aborts are cheap
     mopts.pushback_retry_budget = 500;
     mopts.retry_backoff_ms = 1;
-    mopts.health_penalize_after = 1;
+    mopts.health.penalize_after = 1;
     return mopts;
   };
   const auto locations = [](uint16_t port) {

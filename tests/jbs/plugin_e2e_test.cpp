@@ -162,7 +162,7 @@ TEST_F(PluginE2eTest, AllShufflesProduceIdenticalOutput) {
 
   shuffle::JbsOptions ropts;
   ropts.transport = shuffle::TransportKind::kRdma;
-  ropts.buffer_size = 32 * 1024;
+  ropts.supplier.buffer_size = 32 * 1024;
   shuffle::JbsShufflePlugin jbs_rdma(ropts);
   EXPECT_EQ(RunWith(jbs_rdma, "jbs_rdma"), reference);
 }
@@ -204,7 +204,7 @@ TEST_F(PluginE2eTest, RunPopulatesMetricsAndTrace) {
 TEST_F(PluginE2eTest, JbsSmallBuffersStillCorrect) {
   // Tiny transport buffers force heavy chunking (the 8KB end of Fig. 11).
   shuffle::JbsOptions opts;
-  opts.buffer_size = 4096;
+  opts.supplier.buffer_size = 4096;
   shuffle::JbsShufflePlugin tiny(opts);
   mr::LocalShufflePlugin local;
   EXPECT_EQ(RunWith(tiny, "tiny"), RunWith(local, "local_ref"));
@@ -215,13 +215,13 @@ TEST_F(PluginE2eTest, JbsAblationsStillCorrect) {
   const std::string reference = RunWith(local, "local");
 
   shuffle::JbsOptions no_pipeline;
-  no_pipeline.pipelined = false;
+  no_pipeline.supplier.pipelined = false;
   shuffle::JbsShufflePlugin p1(no_pipeline);
   EXPECT_EQ(RunWith(p1, "nopipe"), reference);
 
   shuffle::JbsOptions no_consolidate;
-  no_consolidate.consolidate = false;
-  no_consolidate.round_robin = false;
+  no_consolidate.merger.consolidate = false;
+  no_consolidate.merger.round_robin = false;
   shuffle::JbsShufflePlugin p2(no_consolidate);
   EXPECT_EQ(RunWith(p2, "nocons"), reference);
 }
@@ -234,34 +234,6 @@ TEST_F(PluginE2eTest, BaselineWithSpillsMatches) {
   hopts.spill_dir = root_ / "spills2";
   baseline::HadoopShufflePlugin hadoop(hopts);
   EXPECT_EQ(RunWith(hadoop, "hadoop_spill"), reference);
-}
-
-TEST_F(PluginE2eTest, OptionsFromConfigParsesKeys) {
-  Config conf;
-  conf.Set("jbs.transport", "rdma");
-  conf.Set(conf::kTransportBufferSize, "64KB");
-  conf.SetInt(conf::kNetMergerDataThreads, 5);
-  conf.SetBool("jbs.netmerger.consolidate", false);
-  conf.SetInt(conf::kTransportLoops, 4);
-  auto opts = shuffle::JbsShufflePlugin::OptionsFromConfig(conf);
-  EXPECT_EQ(opts.transport, shuffle::TransportKind::kRdma);
-  EXPECT_EQ(opts.buffer_size, 64u * 1024);
-  EXPECT_EQ(opts.data_threads, 5);
-  EXPECT_FALSE(opts.consolidate);
-  EXPECT_TRUE(opts.round_robin);
-  EXPECT_EQ(opts.transport_loops, 4);
-}
-
-TEST_F(PluginE2eTest, ThreadPerCoreJbsMatchesReference) {
-  // The full plugin path with the §15 knob turned on — a multi-loop
-  // transport — must shuffle byte-identically to the in-process reference.
-  mr::LocalShufflePlugin local;
-  const std::string reference = RunWith(local, "local_tpc");
-
-  shuffle::JbsOptions opts;
-  opts.transport_loops = 2;
-  shuffle::JbsShufflePlugin tpc(opts);
-  EXPECT_EQ(RunWith(tpc, "tpc"), reference);
 }
 
 }  // namespace

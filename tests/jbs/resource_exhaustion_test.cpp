@@ -44,7 +44,7 @@ class ResourceExhaustionTest : public ::testing::Test {
            ("resource_exhaustion_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.num_loops = 2});
+    transport_ = net::MakeTcpTransport();
   }
   void TearDown() override {
     failpoints::DisarmAll();
@@ -231,7 +231,7 @@ TEST_P(ResourceExhaustionServeModeTest,
   // and crucially nothing is charged to failure accounting.
   ASSERT_TRUE(failpoints::Arm("datacache.acquire", "false*2").ok());
   auto options = MergerOptions();
-  options.health_penalize_after = 1;  // any recorded failure would show
+  options.health.penalize_after = 1;  // any recorded failure would show
   shuffle::NetMerger merger(options);
   auto stream = merger.FetchAndMerge(0, locs);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
@@ -300,8 +300,8 @@ TEST_F(ResourceExhaustionTest, EmfileStormDuringShuffleSurvives) {
   auto options = MergerOptions();
   options.max_fetch_attempts = 4;
   options.max_failovers = 16;
-  options.health_penalty_ms = 20;  // sentences expire within the test
-  options.health_penalty_max_ms = 100;
+  options.health.penalty_ms = 20;  // sentences expire within the test
+  options.health.penalty_max_ms = 100;
   shuffle::NetMerger merger(options);
   auto stream = merger.FetchAndMerge(0, locations);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();

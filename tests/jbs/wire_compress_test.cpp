@@ -30,7 +30,7 @@ class WireCompressTest : public ::testing::Test {
            ("wire_compress_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    transport_ = net::MakeTcpTransport({.num_loops = 2});
+    transport_ = net::MakeTcpTransport();
   }
   void TearDown() override {
     suppliers_.clear();

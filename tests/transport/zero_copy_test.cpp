@@ -1,6 +1,5 @@
 // Zero-copy serve path (DESIGN.md §13): vectored partial writes, buffer
-// ownership handoff, and the inbound frame cap. Endpoint tests run two
-// loop shards (DESIGN.md §15).
+// ownership handoff, and the inbound frame cap.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
@@ -116,9 +115,7 @@ TEST(SendAllVTest, AllEmptySpansIsANoOp) {
 class ZeroCopyEndpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Two loop shards so the accept→shard handoff and per-shard flush
-    // state run under every test, not just a dedicated one.
-    transport_ = MakeTcpTransport({.num_loops = 2});
+    transport_ = MakeTcpTransport();
     auto server = transport_->CreateServer();
     ASSERT_TRUE(server.ok());
     server_ = std::move(*server);
