@@ -103,10 +103,14 @@ void RealModeAblation() {
     mr::Record record;
     while ((*stream)->Next(&record)) {
     }
-    const auto stats = merger.merger_stats();
-    bench::PrintRow({name, std::to_string(stats.connections_opened),
-                     std::to_string(stats.node_switches),
-                     std::to_string(stats.bytes_fetched)},
+    MetricsRegistry& metrics = merger.metrics();
+    const MetricLabels labels{{"client", "netmerger"}};
+    const auto count = [&](const char* series) {
+      return std::to_string(metrics.GetCounter(series, labels)->value());
+    };
+    bench::PrintRow({name, count("shuffle_connections_opened_total"),
+                     count("jbs_netmerger_node_switches_total"),
+                     count("shuffle_bytes_fetched_total")},
                     30);
     merger.Stop();
   };

@@ -127,15 +127,24 @@ RunStats RunOnce(const RunConfig& config, net::Transport& transport,
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
-  const auto stats = supplier.supplier_stats();
+  MetricsRegistry& registry = supplier.metrics();
+  const MetricLabels labels{{"server", "mofsupplier"},
+                            {"instance", "supplier"}};
   RunStats out;
   out.wall_ms = wall_ms;
   out.throughput_mbs =
-      static_cast<double>(stats.bytes_served) / (1024.0 * 1024.0) /
-      (wall_ms / 1000.0);
-  out.mean_latency_ms = stats.request_latency_ms.mean();
-  out.group_switches = stats.group_switches;
-  out.requests = stats.requests;
+      static_cast<double>(
+          registry.GetCounter("shuffle_bytes_served_total", labels)->value()) /
+      (1024.0 * 1024.0) / (wall_ms / 1000.0);
+  out.mean_latency_ms = registry.GetHistogram("shuffle_request_latency_ms",
+                                              labels)
+                            ->summary()
+                            .mean();
+  out.group_switches =
+      registry.GetCounter("jbs_mofsupplier_group_switches_total", labels)
+          ->value();
+  out.requests =
+      registry.GetCounter("shuffle_requests_total", labels)->value();
   supplier.Stop();
   return out;
 }

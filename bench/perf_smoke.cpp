@@ -66,6 +66,9 @@ namespace fs = std::filesystem;
 
 using Clock = std::chrono::steady_clock;
 
+// Labels of a MofSupplier on a private registry.
+const MetricLabels kSupplierLabels{{"server", "mofsupplier"}};
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -191,14 +194,16 @@ double SweepThroughputMBs(bool pipelined, int prefetch_threads,
   }
   for (auto& reducer : reducers) reducer.join();
   const double secs = SecondsSince(start);
-  const auto stats = supplier.supplier_stats();
+  const uint64_t bytes_served =
+      supplier.metrics()
+          .GetCounter("shuffle_bytes_served_total", kSupplierLabels)
+          ->value();
   supplier.Stop();
   if (!fetch_err.empty()) {
     *err = fetch_err;
     return 0;
   }
-  return secs > 0 ? static_cast<double>(stats.bytes_served) / (1 << 20) / secs
-                  : 0;
+  return secs > 0 ? static_cast<double>(bytes_served) / (1 << 20) / secs : 0;
 }
 
 /// Writes `mofs` single-partition MOFs under `dir`. `compressible` picks
@@ -292,9 +297,13 @@ CompressSweepResult CompressSweepRun(bool compress_on,
   }
   result.secs = SecondsSince(start);
   result.copied_delta = PayloadCopyBytes() - copied_before;
-  const auto stats = supplier.supplier_stats();
-  result.bytes_logical = stats.bytes_logical;
-  result.bytes_wire = stats.bytes_wire;
+  MetricsRegistry& metrics = supplier.metrics();
+  result.bytes_logical =
+      metrics.GetCounter("jbs_wire_bytes_logical_total", kSupplierLabels)
+          ->value();
+  result.bytes_wire =
+      metrics.GetCounter("jbs_wire_bytes_wire_total", kSupplierLabels)
+          ->value();
   supplier.Stop();
   return result;
 }
@@ -457,12 +466,17 @@ bool OverloadSweepPoint(int reducers,
   }
   for (auto& fetcher : fetchers) fetcher.join();
   out->secs = SecondsSince(start);
-  const auto stats = supplier.supplier_stats();
-  out->requests = stats.requests;
-  out->shed = stats.shed;
-  out->p99_ms = supplier.metrics()
-                    .GetHistogram("shuffle_request_latency_ms",
-                                  {{"server", "mofsupplier"}})
+  MetricsRegistry& metrics = supplier.metrics();
+  out->requests =
+      metrics.GetCounter("shuffle_requests_total", kSupplierLabels)->value();
+  out->shed = 0;
+  for (const char* reason : {"queue", "inflight_bytes", "datacache"}) {
+    MetricLabels labels = kSupplierLabels;
+    labels.emplace_back("reason", reason);
+    out->shed += metrics.GetCounter("jbs_supplier_shed_total", labels)->value();
+  }
+  out->p99_ms = metrics.GetHistogram("shuffle_request_latency_ms",
+                                     kSupplierLabels)
                     ->histogram()
                     .Percentile(99);
   supplier.Stop();

@@ -46,13 +46,22 @@ void PooledBuffer::Release() {
   size_ = 0;
 }
 
+std::optional<size_t> BufferPool::ArenaBytes(size_t buffer_size,
+                                             size_t count) {
+  size_t bytes = 0;
+  if (buffer_size == 0 || count == 0 ||
+      __builtin_mul_overflow(buffer_size, count, &bytes)) {
+    return std::nullopt;
+  }
+  return bytes;
+}
+
 BufferPool::BufferPool(size_t buffer_size, size_t count)
     : buffer_size_(buffer_size),
-      count_(count),
-      arena_(new uint8_t[buffer_size * count]) {
-  assert(buffer_size > 0 && count > 0);
-  free_list_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+      count_(ArenaBytes(buffer_size, count) ? count : 0),
+      arena_(count_ == 0 ? nullptr : new uint8_t[buffer_size * count_]) {
+  free_list_.reserve(count_);
+  for (size_t i = 0; i < count_; ++i) {
     free_list_.push_back(arena_.get() + i * buffer_size);
   }
 }
@@ -69,16 +78,10 @@ BufferPool::~BufferPool() {
 
 PooledBuffer BufferPool::Acquire() {
   MutexLock lock(mu_);
-  ++stats_.acquires;
   if (free_list_.empty()) {
     if (cancelled_) return {};
-    ++stats_.blocked_acquires;
     ++waiters_;
-    const auto start = std::chrono::steady_clock::now();
     while (!cancelled_ && free_list_.empty()) available_cv_.Wait(lock);
-    const auto waited = std::chrono::steady_clock::now() - start;
-    stats_.total_wait_micros +=
-        std::chrono::duration_cast<std::chrono::microseconds>(waited).count();
     --waiters_;
     if (free_list_.empty()) return {};
   }
@@ -90,23 +93,17 @@ PooledBuffer BufferPool::Acquire() {
 StatusOr<PooledBuffer> BufferPool::AcquireFor(
     std::chrono::steady_clock::time_point deadline) {
   MutexLock lock(mu_);
-  ++stats_.acquires;
   if (free_list_.empty()) {
     if (cancelled_) return Cancelled("buffer pool cancelled");
-    ++stats_.blocked_acquires;
     ++waiters_;
-    const auto start = std::chrono::steady_clock::now();
     while (!cancelled_ && free_list_.empty()) {
       if (std::chrono::steady_clock::now() >= deadline) break;
       available_cv_.WaitUntil(lock, deadline);
     }
-    const auto waited = std::chrono::steady_clock::now() - start;
-    stats_.total_wait_micros +=
-        std::chrono::duration_cast<std::chrono::microseconds>(waited).count();
     --waiters_;
     if (free_list_.empty()) {
       if (cancelled_) return Cancelled("buffer pool cancelled");
-      ++stats_.acquire_timeouts;
+      ++acquire_timeouts_;
       return ResourceExhausted("buffer pool exhausted past deadline");
     }
   }
@@ -122,7 +119,6 @@ size_t BufferPool::waiters() const {
 
 PooledBuffer BufferPool::TryAcquire() {
   MutexLock lock(mu_);
-  ++stats_.acquires;
   if (free_list_.empty()) return {};
   uint8_t* data = free_list_.back();
   free_list_.pop_back();
@@ -134,9 +130,9 @@ size_t BufferPool::available() const {
   return free_list_.size();
 }
 
-BufferPool::Stats BufferPool::stats() const {
+uint64_t BufferPool::acquire_timeouts() const {
   MutexLock lock(mu_);
-  return stats_;
+  return acquire_timeouts_;
 }
 
 void BufferPool::Cancel() {

@@ -2,13 +2,13 @@
 // The paper (Fig. 11) shows the tension this type embodies: larger buffers
 // amortize per-request overhead but reduce the number of buffers available
 // to data threads, increasing contention. The pool has a fixed total byte
-// budget; Acquire() blocks when all buffers are checked out, and the time
-// spent blocked is surfaced via contention statistics.
+// budget; Acquire() blocks when all buffers are checked out.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -56,12 +56,17 @@ std::shared_ptr<const void> MakeBufferLease(PooledBuffer&& buffer);
 
 class BufferPool {
  public:
-  /// Creates `count` buffers of `buffer_size` bytes each.
+  /// Creates `count` buffers of `buffer_size` bytes each. A sizing that
+  /// ArenaBytes() rejects builds an empty pool that hands out nothing.
   BufferPool(size_t buffer_size, size_t count);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
+
+  /// The arena a pool of this shape needs, or nothing when either factor
+  /// is zero or their product does not fit in size_t.
+  static std::optional<size_t> ArenaBytes(size_t buffer_size, size_t count);
 
   /// Blocks until a buffer is available. Returns an invalid buffer if the
   /// pool was cancelled while (or before) waiting.
@@ -96,13 +101,8 @@ class BufferPool {
   size_t capacity() const { return count_; }
   size_t available() const EXCLUDES(mu_);
 
-  struct Stats {
-    uint64_t acquires = 0;
-    uint64_t blocked_acquires = 0;  // acquires that had to wait
-    uint64_t total_wait_micros = 0;
-    uint64_t acquire_timeouts = 0;  // AcquireFor deadline expiries
-  };
-  Stats stats() const EXCLUDES(mu_);
+  /// AcquireFor deadline expiries.
+  uint64_t acquire_timeouts() const EXCLUDES(mu_);
 
  private:
   friend class PooledBuffer;
@@ -117,7 +117,7 @@ class BufferPool {
   std::vector<uint8_t*> free_list_ GUARDED_BY(mu_);
   bool cancelled_ GUARDED_BY(mu_) = false;
   size_t waiters_ GUARDED_BY(mu_) = 0;
-  Stats stats_ GUARDED_BY(mu_);
+  uint64_t acquire_timeouts_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace jbs

@@ -54,12 +54,7 @@ double Config::GetDouble(const std::string& key, double def) const {
 bool Config::GetBool(const std::string& key, bool def) const {
   auto v = Get(key);
   if (!v) return def;
-  std::string lowered = *v;
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lowered == "true" || lowered == "1" || lowered == "yes") return true;
-  if (lowered == "false" || lowered == "0" || lowered == "no") return false;
-  return def;
+  return ParseBool(*v).value_or(def);
 }
 
 int64_t Config::GetSize(const std::string& key, int64_t def) const {
@@ -70,6 +65,15 @@ int64_t Config::GetSize(const std::string& key, int64_t def) const {
 
 void Config::MergeFrom(const Config& other) {
   for (const auto& [k, v] : other.entries_) entries_[k] = v;
+}
+
+std::optional<bool> Config::ParseBool(const std::string& text) {
+  std::string lowered = text;
+  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  if (lowered == "true" || lowered == "1" || lowered == "yes") return true;
+  if (lowered == "false" || lowered == "0" || lowered == "no") return false;
+  return std::nullopt;
 }
 
 std::optional<int64_t> Config::ParseSize(const std::string& text) {

@@ -39,6 +39,8 @@ class Config {
   }
 
   static std::optional<int64_t> ParseSize(const std::string& text);
+  /// "true"/"1"/"yes" or "false"/"0"/"no", any case; nothing otherwise.
+  static std::optional<bool> ParseBool(const std::string& text);
 
  private:
   std::map<std::string, std::string> entries_;

@@ -158,56 +158,26 @@ MetricHistogram* MetricsRegistry::GetHistogram(std::string_view name,
   return slot.get();
 }
 
-void MetricsRegistry::RegisterCallbackGauge(const void* owner,
-                                            std::string_view name,
-                                            MetricLabels labels,
-                                            std::function<double()> fn) {
-  Key key = MakeKey(name, std::move(labels));
-  MutexLock lock(callbacks_mu_);
-  callback_gauges_[std::move(key)] = CallbackGauge{owner, std::move(fn)};
-}
-
-void MetricsRegistry::UnregisterCallbacks(const void* owner) {
-  MutexLock lock(callbacks_mu_);
-  for (auto it = callback_gauges_.begin(); it != callback_gauges_.end();) {
-    it = it->second.owner == owner ? callback_gauges_.erase(it)
-                                   : std::next(it);
-  }
-}
-
-std::string MetricsRegistry::DumpText() const {
-  // Snapshot every metric into sorted maps first: shards are unordered and
-  // dump output must be deterministic.
-  std::map<Key, uint64_t> counters;
-  std::map<Key, double> gauges;
-  struct HistSnap {
-    Histogram histogram;
-    Summary summary;
-  };
-  std::map<Key, HistSnap> histograms;
+MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
+  Snapshot snap;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
     for (const auto& [key, counter] : shard->counters) {
-      counters[key] = counter->value();
+      snap.counters[key] = counter->value();
     }
     for (const auto& [key, gauge] : shard->gauges) {
-      gauges[key] = gauge->value();
+      snap.gauges[key] = gauge->value();
     }
     for (const auto& [key, histogram] : shard->histograms) {
-      histograms[key] = HistSnap{histogram->histogram(),
-                                 histogram->summary()};
+      snap.histograms[key] =
+          HistSnap{histogram->histogram(), histogram->summary()};
     }
   }
-  {
-    // User callbacks run with no shard lock held (lock-order safety: a
-    // callback may take its component's lock, and component threads take
-    // shard locks while holding component locks).
-    MutexLock lock(callbacks_mu_);
-    for (const auto& [key, cb] : callback_gauges_) {
-      gauges[key] = cb.fn();
-    }
-  }
+  return snap;
+}
 
+std::string MetricsRegistry::DumpText() const {
+  const Snapshot all = TakeSnapshot();
   std::string out;
   std::string last_type_name;
   const auto type_line = [&](const std::string& name, const char* type) {
@@ -215,16 +185,16 @@ std::string MetricsRegistry::DumpText() const {
     last_type_name = name;
     out += "# TYPE " + name + " " + type + "\n";
   };
-  for (const auto& [key, value] : counters) {
+  for (const auto& [key, value] : all.counters) {
     type_line(key.name, "counter");
     out += key.name + LabelSuffix(key.labels) + " " +
            std::to_string(value) + "\n";
   }
-  for (const auto& [key, value] : gauges) {
+  for (const auto& [key, value] : all.gauges) {
     type_line(key.name, "gauge");
     out += key.name + LabelSuffix(key.labels) + " " + FmtDouble(value) + "\n";
   }
-  for (const auto& [key, snap] : histograms) {
+  for (const auto& [key, snap] : all.histograms) {
     type_line(key.name, "histogram");
     const std::vector<uint64_t>& buckets = snap.histogram.buckets();
     uint64_t cumulative = 0;
@@ -249,39 +219,10 @@ std::string MetricsRegistry::DumpText() const {
 }
 
 std::string MetricsRegistry::DumpJson() const {
-  std::map<Key, uint64_t> counters;
-  std::map<Key, double> gauges;
-  struct HistSnap {
-    Histogram histogram;
-    Summary summary;
-  };
-  std::map<Key, HistSnap> histograms;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (const auto& [key, counter] : shard->counters) {
-      counters[key] = counter->value();
-    }
-    for (const auto& [key, gauge] : shard->gauges) {
-      gauges[key] = gauge->value();
-    }
-    for (const auto& [key, histogram] : shard->histograms) {
-      histograms[key] = HistSnap{histogram->histogram(),
-                                 histogram->summary()};
-    }
-  }
-  {
-    // User callbacks run with no shard lock held (lock-order safety: a
-    // callback may take its component's lock, and component threads take
-    // shard locks while holding component locks).
-    MutexLock lock(callbacks_mu_);
-    for (const auto& [key, cb] : callback_gauges_) {
-      gauges[key] = cb.fn();
-    }
-  }
-
+  const Snapshot all = TakeSnapshot();
   std::string out = "{\"counters\":[";
   bool first = true;
-  for (const auto& [key, value] : counters) {
+  for (const auto& [key, value] : all.counters) {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"" + EscapeValue(key.name) +
@@ -290,7 +231,7 @@ std::string MetricsRegistry::DumpJson() const {
   }
   out += "],\"gauges\":[";
   first = true;
-  for (const auto& [key, value] : gauges) {
+  for (const auto& [key, value] : all.gauges) {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"" + EscapeValue(key.name) +
@@ -299,10 +240,10 @@ std::string MetricsRegistry::DumpJson() const {
   }
   out += "],\"histograms\":[";
   first = true;
-  for (const auto& [key, snap] : histograms) {
+  for (const auto& [key, snap] : all.histograms) {
     if (!first) out += ",";
     first = false;
-    Histogram h = snap.histogram;
+    const Histogram& h = snap.histogram;
     out += "{\"name\":\"" + EscapeValue(key.name) +
            "\",\"labels\":" + JsonLabels(key.labels) +
            ",\"count\":" + std::to_string(snap.summary.count()) +

@@ -14,15 +14,14 @@
 //   - Counter/gauge updates are atomics; histogram observations take a
 //     per-histogram mutex (an observation is two streaming updates).
 //   - Dump*() walks the shards and emits deterministically sorted output.
-//   - Callback gauges are guarded by their own mutex and evaluated with no
-//     shard lock held, so callbacks may take component locks (see
-//     RegisterCallbackGauge).
+//   - Values a component owns (cache hit counts, pool occupancy) are
+//     pushed into gauges by that component, never pulled by a callback at
+//     dump time, so a dump cannot reach into a destroyed component.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -94,22 +93,6 @@ class MetricsRegistry {
   MetricHistogram* GetHistogram(std::string_view name,
                                 MetricLabels labels = {});
 
-  /// Registers a gauge evaluated lazily at dump time (for values owned by
-  /// a component, e.g. a cache's occupancy). `owner` is an opaque token;
-  /// the component MUST call UnregisterCallbacks(owner) before the
-  /// captured state dies, or a later dump reads freed memory.
-  ///
-  /// Callbacks run under callbacks_mu_ only — never under a shard lock —
-  /// so a callback may take its component's lock even while other threads
-  /// register metrics from under that same component lock. A callback must
-  /// not call back into this registry (Register/Unregister/Dump*).
-  void RegisterCallbackGauge(const void* owner, std::string_view name,
-                             MetricLabels labels, std::function<double()> fn)
-      EXCLUDES(callbacks_mu_);
-  /// Drops every callback gauge registered with `owner`. Idempotent.
-  /// On return, no dump is running (or will run) the owner's callbacks.
-  void UnregisterCallbacks(const void* owner) EXCLUDES(callbacks_mu_);
-
   /// Prometheus-style text exposition, deterministically sorted by
   /// (name, labels). Histograms emit cumulative _bucket{le=...} lines
   /// plus _sum and _count.
@@ -127,9 +110,16 @@ class MetricsRegistry {
       return labels < other.labels;
     }
   };
-  struct CallbackGauge {
-    const void* owner;
-    std::function<double()> fn;
+  struct HistSnap {
+    Histogram histogram;
+    Summary summary;
+  };
+  /// Every series' value, copied under the shard locks into sorted maps:
+  /// shards are unordered and dump output must be deterministic.
+  struct Snapshot {
+    std::map<Key, uint64_t> counters;
+    std::map<Key, double> gauges;
+    std::map<Key, HistSnap> histograms;
   };
   static constexpr size_t kShards = 16;
   struct Shard {
@@ -142,15 +132,9 @@ class MetricsRegistry {
   static Key MakeKey(std::string_view name, MetricLabels labels);
   Shard& ShardFor(const Key& key);
   const Shard& ShardFor(const Key& key) const;
+  Snapshot TakeSnapshot() const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// Callback gauges live outside the shards: dumps evaluate user callbacks
-  /// under this mutex with no shard lock held, so a callback that takes its
-  /// component's lock cannot deadlock against a component thread calling
-  /// GetCounter (which takes a shard lock under the component lock).
-  mutable Mutex callbacks_mu_;
-  std::map<Key, CallbackGauge> callback_gauges_ GUARDED_BY(callbacks_mu_);
 };
 
 /// Lifecycle stages of one fetch, in causal order.

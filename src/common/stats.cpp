@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 
 namespace jbs {
 
@@ -111,30 +110,6 @@ std::string Histogram::ToString() const {
                 static_cast<unsigned long long>(total_), Percentile(50),
                 Percentile(95), Percentile(99), max_);
   return buf;
-}
-
-void TimeSeries::Record(double time_sec, double value) {
-  points_.push_back({time_sec, value});
-}
-
-std::vector<TimeSeries::Bin> TimeSeries::Binned(double bin_width_sec) const {
-  std::map<int64_t, std::pair<double, uint64_t>> bins;
-  for (const Point& p : points_) {
-    // floor, not truncation: a cast rounds negative quotients toward zero,
-    // putting pre-epoch-relative timestamps (t in [-w, 0)) into bin 0
-    // instead of bin -1.
-    const auto idx = static_cast<int64_t>(std::floor(p.t / bin_width_sec));
-    auto& [sum, n] = bins[idx];
-    sum += p.v;
-    ++n;
-  }
-  std::vector<Bin> out;
-  out.reserve(bins.size());
-  for (const auto& [idx, agg] : bins) {
-    out.push_back({static_cast<double>(idx) * bin_width_sec,
-                   agg.first / static_cast<double>(agg.second), agg.second});
-  }
-  return out;
 }
 
 }  // namespace jbs

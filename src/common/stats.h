@@ -1,6 +1,5 @@
-// Measurement plumbing for benches: streaming summaries, fixed-bucket
-// histograms, and time-series samplers (the sar-style CPU traces of Fig. 10
-// come out of TimeSeries).
+// Measurement plumbing for the metrics registry and benches: streaming
+// summaries and log2-bucket histograms.
 #pragma once
 
 #include <cstdint>
@@ -63,30 +62,6 @@ class Histogram {
   uint64_t rejected_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Uniformly-sampled time series: Record(t, v); Sample(dt) averages into
-/// fixed-width bins — how `sar` output every 5 seconds is reproduced.
-class TimeSeries {
- public:
-  void Record(double time_sec, double value);
-
-  struct Bin {
-    double time_sec;  // bin start
-    double mean;
-    uint64_t samples;
-  };
-  /// Bins all recorded points into `bin_width_sec` windows.
-  std::vector<Bin> Binned(double bin_width_sec) const;
-
-  size_t size() const { return points_.size(); }
-
- private:
-  struct Point {
-    double t;
-    double v;
-  };
-  std::vector<Point> points_;
 };
 
 }  // namespace jbs

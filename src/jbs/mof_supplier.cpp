@@ -155,7 +155,7 @@ void MofSupplier::RefreshGauges() const {
   // control acts on.
   set("buffer_pool_waiters", static_cast<double>(data_cache_.waiters()));
   set("jbs_mofsupplier_datacache_acquire_timeouts",
-      static_cast<double>(data_cache_.stats().acquire_timeouts));
+      static_cast<double>(data_cache_.acquire_timeouts()));
   set("jbs_mofsupplier_pending_groups",
       static_cast<double>(pending_group_count()));
   {
@@ -168,15 +168,6 @@ void MofSupplier::RefreshGauges() const {
   // bytes_served climbs.
   set("jbs_serve_bytes_copied_total",
       static_cast<double>(PayloadCopyBytes()));
-  if (endpoint_) {
-    const net::ServerEndpoint::Stats ep = endpoint_->stats();
-    set("jbs_mofsupplier_endpoint_bytes_sent",
-        static_cast<double>(ep.bytes_sent));
-    set("jbs_mofsupplier_endpoint_send_queue_depth",
-        static_cast<double>(ep.send_queue_depth));
-    set("jbs_mofsupplier_endpoint_connections_accepted",
-        static_cast<double>(ep.connections_accepted));
-  }
 }
 
 MofSupplier::~MofSupplier() { Stop(); }
@@ -191,6 +182,13 @@ Status MofSupplier::Start() {
     return InvalidArgument("MofSupplier buffer_size must exceed the " +
                            std::to_string(kDataHeaderSize) +
                            "-byte chunk header");
+  }
+  // A zero count would park every disk thread in Acquire forever, and a
+  // product that wraps size_t would size the DataCache arena short.
+  if (!BufferPool::ArenaBytes(options_.buffer_size, options_.buffer_count)) {
+    return InvalidArgument(
+        "MofSupplier needs buffer_count >= 1 and buffer_size * buffer_count "
+        "within size_t");
   }
   auto endpoint = options_.transport->CreateServer();
   JBS_RETURN_IF_ERROR(endpoint.status());
@@ -249,28 +247,6 @@ mr::ShuffleServer::Stats MofSupplier::stats() const {
 size_t MofSupplier::pending_group_count() const {
   MutexLock lock(mu_);
   return groups_.size();
-}
-
-MofSupplier::SupplierStats MofSupplier::supplier_stats() const {
-  // Thin view over the registry counters.
-  RefreshGauges();
-  SupplierStats out;
-  out.requests = requests_c_->value();
-  out.bytes_served = bytes_served_c_->value();
-  out.batches = batches_c_->value();
-  out.group_switches = group_switches_c_->value();
-  out.errors = errors_c_->value();
-  out.disconnect_purges = disconnect_purges_c_->value();
-  out.bytes_logical = wire_bytes_logical_c_->value();
-  out.bytes_wire = wire_bytes_wire_c_->value();
-  out.chunks_compressed = chunks_compressed_c_->value();
-  out.compress_bailouts = compress_bailouts_c_->value();
-  out.shed = shed_queue_c_->value() + shed_inflight_c_->value() +
-             shed_datacache_c_->value();
-  out.index = index_cache_.stats();
-  out.fd = fd_cache_.stats();
-  out.request_latency_ms = request_latency_ms_h_->summary();
-  return out;
 }
 
 void MofSupplier::OnFrame(net::ConnId conn, Frame frame) {

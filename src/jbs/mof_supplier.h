@@ -34,7 +34,6 @@
 #include "common/lru_cache.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
-#include "common/stats.h"
 #include "common/thread_annotations.h"
 #include "jbs/index_cache.h"
 #include "jbs/protocol.h"
@@ -116,30 +115,13 @@ class MofSupplier final : public mr::ShuffleServer {
   void Stop() override EXCLUDES(mu_);
   Stats stats() const override;
 
-  /// Legacy stats view, now a thin read of the MetricsRegistry counters —
-  /// kept so existing callers (tests, benches) don't have to learn metric
-  /// names.
-  struct SupplierStats {
-    uint64_t requests = 0;
-    uint64_t bytes_served = 0;
-    uint64_t batches = 0;          // disk-server turns
-    uint64_t group_switches = 0;   // MOF changes between consecutive reads
-    uint64_t errors = 0;
-    uint64_t disconnect_purges = 0;  // queued requests dropped because
-                                     // their connection went away
-    uint64_t bytes_logical = 0;      // pre-compression data bytes served
-    uint64_t bytes_wire = 0;         // payload bytes actually on the wire
-    uint64_t chunks_compressed = 0;
-    uint64_t compress_bailouts = 0;  // chunks that didn't compress enough
-    uint64_t shed = 0;               // requests answered with kErrorBusy
-    IndexCache::Stats index;
-    FdCache::Stats fd;
-    Summary request_latency_ms;    // enqueue -> response handed to transport
-  };
-  SupplierStats supplier_stats() const;
-
-  /// The registry this supplier publishes into (owned or shared).
-  MetricsRegistry& metrics() const { return *metrics_; }
+  /// The registry this supplier publishes into (owned or shared), with
+  /// the component-owned gauges refreshed first, so one call reads live
+  /// values.
+  MetricsRegistry& metrics() const {
+    RefreshGauges();
+    return *metrics_;
+  }
 
   /// Live request-group queues. Drained groups are erased eagerly, so this
   /// returns to 0 between bursts instead of growing with finished maps.
@@ -222,9 +204,8 @@ class MofSupplier final : public mr::ShuffleServer {
   /// Labels shared by all of this supplier's metrics.
   MetricLabels BaseLabels() const;
   /// Re-exports component-owned values (cache hit counters, DataCache
-  /// occupancy, endpoint byte counts) as push gauges.
-  /// Called from the stats accessors and Stop(), so dumps taken after
-  /// shutdown still carry final values.
+  /// occupancy) as push gauges. Called from metrics() and Stop(), so
+  /// dumps taken after shutdown still carry final values.
   void RefreshGauges() const;
 
   Options options_;

@@ -180,35 +180,8 @@ mr::ShuffleClient::Stats NetMerger::stats() const {
   return out;
 }
 
-NetMerger::MergerStats NetMerger::merger_stats() const {
-  // Thin view over the registry counters. connections_opened is counted
-  // at the dial site in both modes (the manager reports whether a
-  // GetOrConnect actually dialed), so manager-routed dials are never
-  // double-counted against the old misses-derived estimate.
-  RefreshConnectionGauges();
-  MergerStats out;
-  out.fetches = fetches_c_->value();
-  out.chunks = chunks_c_->value();
-  out.bytes_fetched = bytes_fetched_c_->value();
-  out.connections_opened = connections_opened_c_->value();
-  out.node_switches = node_switches_c_->value();
-  out.fetch_errors = fetch_errors_c_->value();
-  out.fetch_retries = fetch_retries_c_->value();
-  out.deadline_expiries = deadline_expiries_c_->value();
-  out.chunks_corrupt = chunks_corrupt_c_->value();
-  out.chunks_compressed = chunks_compressed_c_->value();
-  out.failovers = failovers_c_->value();
-  out.penalties = health_->penalties();
-  out.pushbacks = pushback_c_->value();
-  return out;
-}
-
 NodeState NetMerger::node_health(const std::string& node) {
   return health_->state(node);
-}
-
-net::ConnectionManager::Stats NetMerger::connection_stats() const {
-  return connections_.stats();
 }
 
 size_t NetMerger::pending_node_count() const {

@@ -103,38 +103,17 @@ class NetMerger final : public mr::ShuffleClient {
   void Stop() override EXCLUDES(sched_mu_, inflight_mu_);
   Stats stats() const override;
 
-  /// Legacy stats view, now a thin read of the MetricsRegistry counters —
-  /// kept so existing callers (tests, benches) don't have to learn metric
-  /// names.
-  struct MergerStats {
-    uint64_t fetches = 0;           // segments fetched
-    uint64_t chunks = 0;            // fetch round trips
-    uint64_t bytes_fetched = 0;
-    uint64_t connections_opened = 0;
-    uint64_t node_switches = 0;     // scheduler moved to a different node
-    uint64_t fetch_errors = 0;      // fetches that exhausted all attempts
-    uint64_t fetch_retries = 0;     // transient failures that were retried
-    uint64_t deadline_expiries = 0; // fetches that blew their time budget
-    uint64_t chunks_corrupt = 0;    // chunks rejected by CRC verification
-    uint64_t chunks_compressed = 0; // chunks that arrived kChunkCompressed
-    uint64_t failovers = 0;         // fetches rerouted to a replica
-    uint64_t penalties = 0;         // penalty-box sentences handed out
-    uint64_t pushbacks = 0;         // kErrorBusy replies honored
-  };
-  MergerStats merger_stats() const;
-
   /// Health-tracker view of one remote node ("host:port"), for tests and
   /// operators; an expired sentence is applied on read.
   NodeState node_health(const std::string& node);
 
-  /// Connection-cache counters (hits/misses/evictions/dial failures) from
-  /// the underlying manager — the raw series merger_stats() used to derive
-  /// connections_opened from, now exposed so tests can lock the
-  /// no-double-count invariant.
-  net::ConnectionManager::Stats connection_stats() const;
-
-  /// The registry this merger publishes into (owned or shared).
-  MetricsRegistry& metrics() const { return *metrics_; }
+  /// The registry this merger publishes into (owned or shared), with the
+  /// connection-manager gauges refreshed first, so one call reads live
+  /// values.
+  MetricsRegistry& metrics() const {
+    RefreshConnectionGauges();
+    return *metrics_;
+  }
   /// Per-fetch lifecycle timeline (owned or shared).
   TraceRecorder& trace() const { return *trace_; }
 
@@ -228,8 +207,8 @@ class NetMerger final : public mr::ShuffleClient {
   /// registry lock is a leaf, so nesting under sched_mu_ is safe).
   void SetQueueDepth(const std::string& node, size_t depth);
   /// Re-exports the connection-manager counters as gauges (they're owned
-  /// by the manager, not the registry). Called from the stats accessors
-  /// and Stop(), so dumps taken after shutdown still carry final values.
+  /// by the manager, not the registry). Called from metrics() and Stop(),
+  /// so dumps taken after shutdown still carry final values.
   void RefreshConnectionGauges() const;
 
   Options options_;

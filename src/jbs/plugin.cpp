@@ -74,11 +74,12 @@ class KnobReader {
     });
   }
 
-  /// Config::GetBool's spellings; anything it would not parse is rejected.
+  /// Config::ParseBool's spellings; anything else is rejected.
   void Bool(const char* key, bool& field) {
-    Read(key, "true or false", [&](const std::string&) {
-      field = conf_.GetBool(key, field);
-      return conf_.GetBool(key, true) == conf_.GetBool(key, false);
+    Read(key, "true or false", [&](const std::string& text) {
+      const auto value = Config::ParseBool(text);
+      if (value) field = *value;
+      return value.has_value();
     });
   }
 

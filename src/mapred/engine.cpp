@@ -239,6 +239,12 @@ StatusOr<JobCounters> LocalJobRunner::Run(const JobSpec& spec) {
   if (!spec.map || !spec.reduce || spec.num_reducers < 1) {
     return InvalidArgument("JobSpec incomplete");
   }
+  // Fail loudly instead of letting a typo run the job uncompressed.
+  if (const auto v = options_.conf.Get(conf::kCompressMapOutput);
+      v && !Config::ParseBool(*v)) {
+    return InvalidArgument(std::string(conf::kCompressMapOutput) + "=" + *v +
+                           ": want true or false");
+  }
   const auto job_start = std::chrono::steady_clock::now();
   JobCounters counters;
 

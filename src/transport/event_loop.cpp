@@ -35,22 +35,24 @@ void EventfdSignal(int fd) {
 }
 }  // namespace
 
-EventLoop::EventLoop() = default;
-
-EventLoop::~EventLoop() { Stop(); }
-
-Status EventLoop::Start() {
-  epoll_fd_ = Fd(::epoll_create1(0));
-  if (!epoll_fd_.valid()) return IoError("epoll_create1 failed");
-  wake_fd_ = Fd(::eventfd(0, EFD_NONBLOCK));
-  if (!wake_fd_.valid()) return IoError("eventfd failed");
-
+// The descriptors exist from construction so Add() works before Start();
+// a failed create leaves one invalid, and Start() reports it.
+EventLoop::EventLoop()
+    : epoll_fd_(::epoll_create1(0)), wake_fd_(::eventfd(0, EFD_NONBLOCK)) {
+  if (!epoll_fd_.valid() || !wake_fd_.valid()) return;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = wake_fd_.get();
   if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev) != 0) {
-    return IoError("epoll_ctl(wakeup) failed");
+    wake_fd_.Reset();
   }
+}
+
+EventLoop::~EventLoop() { Stop(); }
+
+Status EventLoop::Start() {
+  if (!epoll_fd_.valid()) return IoError("epoll_create1 failed");
+  if (!wake_fd_.valid()) return IoError("eventfd wakeup setup failed");
   running_.store(true);
   thread_ = std::thread([this] {
     loop_thread_id_ = std::this_thread::get_id();

@@ -88,10 +88,6 @@ class FaultInjectingTransport::FlakyConnection final : public Connection {
   }
 
   bool alive() const override { return inner_->alive(); }
-  uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
-  uint64_t bytes_received() const override {
-    return inner_->bytes_received();
-  }
 
  private:
   /// Blocks like a silent peer. Ok() when released; otherwise the error

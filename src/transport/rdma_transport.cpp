@@ -129,8 +129,6 @@ class RdmaConnection final : public Connection {
   bool alive() const override {
     return !closed_ && qp_->state() == QueuePair::State::kRts;
   }
-  uint64_t bytes_sent() const override { return qp_->bytes_sent(); }
-  uint64_t bytes_received() const override { return qp_->bytes_received(); }
 
  private:
   std::unique_ptr<ProtectionDomain> pd_;
@@ -187,13 +185,6 @@ class RdmaServerEndpoint final : public ServerEndpoint {
     if (recv_thread_.joinable()) recv_thread_.join();
     MutexLock lock(mu_);
     conns_.clear();
-  }
-
-  Stats stats() const override EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    Stats out = stats_;
-    out.send_queue_depth = send_queue_.size();
-    return out;
   }
 
  private:
@@ -254,10 +245,6 @@ class RdmaServerEndpoint final : public ServerEndpoint {
         conns_.erase(id);
         continue;
       }
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.connections_accepted;
-      }
       if (handlers_.on_connect) handlers_.on_connect(id);
     }
   }
@@ -304,12 +291,9 @@ class RdmaServerEndpoint final : public ServerEndpoint {
         if (it == conns_.end()) continue;
         qp = it->second.qp;
       }
-      if (qp->PostSend(next_send_wr_++, frame.type, frame.payload,
-                       frame.ext)
-              .ok()) {
-        MutexLock slock(stats_mu_);
-        stats_.bytes_sent += frame.payload_size();
-      }
+      // A failed post has already moved the QP to its error state.
+      (void)qp->PostSend(next_send_wr_++, frame.type, frame.payload,
+                         frame.ext);
       send_cq_.Poll();  // drain send completions
     }
   }
@@ -347,8 +331,6 @@ class RdmaServerEndpoint final : public ServerEndpoint {
 
   mutable Mutex mu_;
   std::unordered_map<ConnId, ConnState> conns_ GUARDED_BY(mu_);
-  mutable Mutex stats_mu_;
-  Stats stats_ GUARDED_BY(stats_mu_);
 };
 
 class SoftRdmaTransport final : public Transport {

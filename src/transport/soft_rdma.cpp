@@ -196,7 +196,6 @@ Status QueuePair::PostSend(uint64_t wr_id, uint8_t msg_type,
   wc.byte_len = static_cast<uint32_t>(head.size() + tail.size());
   wc.msg_type = msg_type;
   if (st.ok()) {
-    bytes_sent_ += head.size() + tail.size();
     wc.status = WcStatus::kSuccess;
   } else {
     MutexLock lock(mu_);
@@ -282,7 +281,6 @@ void QueuePair::HandleRdmaReadResponse(std::span<const uint8_t> response) {
     wc.status = WcStatus::kLocalLengthError;
   } else {
     std::memcpy(pending.local.addr, response.data() + 9, payload);
-    bytes_received_ += payload;
     wc.status = WcStatus::kSuccess;
     wc.byte_len = static_cast<uint32_t>(payload);
   }
@@ -349,7 +347,6 @@ void QueuePair::ReceiverLoop() {
       recv_cq_->Push(wc);
       break;
     }
-    bytes_received_ += length;
     wc.status = WcStatus::kSuccess;
     recv_cq_->Push(wc);
   }

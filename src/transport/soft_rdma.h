@@ -142,8 +142,6 @@ class QueuePair {
   void Disconnect();
 
   State state() const;
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t bytes_received() const { return bytes_received_; }
   size_t posted_recvs() const;
 
  private:
@@ -179,8 +177,6 @@ class QueuePair {
   /// not interleave); guards no member, only the wire.
   Mutex send_mu_;
   std::thread receiver_;
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
 
   struct PendingRead {
     uint64_t wr_id;

@@ -12,8 +12,7 @@
 //
 // Execution model (DESIGN.md §15): the endpoint runs one epoll event loop.
 // Every connection's decoder and outbound queue are touched only from that
-// loop thread, so the per-byte path takes no locks; counters are relaxed
-// atomics so stats() can read them from any thread.
+// loop thread, so the per-byte path takes no locks.
 #include "transport/tcp_transport.h"
 
 #include <sys/socket.h>
@@ -24,7 +23,6 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +63,6 @@ class TcpConnection final : public Connection {
       alive_ = false;
       return st;
     }
-    bytes_sent_ += kFrameHeaderSize + frame.payload_size();
     return Status::Ok();
   }
 
@@ -95,7 +92,6 @@ class TcpConnection final : public Connection {
         return st;
       }
     }
-    bytes_received_ += kFrameHeaderSize + length;
     return frame;
   }
 
@@ -110,16 +106,12 @@ class TcpConnection final : public Connection {
   }
 
   bool alive() const override { return alive_; }
-  uint64_t bytes_sent() const override { return bytes_sent_; }
-  uint64_t bytes_received() const override { return bytes_received_; }
 
  private:
   Fd fd_;
   const size_t max_frame_bytes_;
   Mutex send_mu_;  // serializes senders so frames hit the wire whole
   std::atomic<bool> alive_{true};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
 };
 
 class TcpServerEndpoint final : public ServerEndpoint {
@@ -136,15 +128,10 @@ class TcpServerEndpoint final : public ServerEndpoint {
     listen_fd_ = std::move(listener->first);
     port_ = listener->second;
     JBS_RETURN_IF_ERROR(SetNonBlocking(listen_fd_.get()));
-    JBS_RETURN_IF_ERROR(loop_.Start());
-    // Registration must happen on the loop thread.
-    std::promise<Status> done;
-    loop_.RunInLoop([this, &done] {
-      done.set_value(loop_.Add(listen_fd_.get(), /*read=*/true,
-                               /*write=*/false,
-                               [this](uint32_t) { AcceptReady(); }));
-    });
-    return done.get_future().get();
+    JBS_RETURN_IF_ERROR(loop_.Add(listen_fd_.get(), /*read=*/true,
+                                  /*write=*/false,
+                                  [this](uint32_t) { AcceptReady(); }));
+    return loop_.Start();
   }
 
   uint16_t port() const override { return port_; }
@@ -167,7 +154,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
       auto it = conns_.find(conn);
       if (it == conns_.end()) return;  // conn gone; lease drops here
       it->second.out_queue.push_back(std::move(out));
-      queued_frames_.fetch_add(1, std::memory_order_relaxed);
       FlushWrites(conn);
     };
     // From the loop thread (e.g. an on_frame handler replying inline) run
@@ -187,15 +173,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
     loop_.Stop();
     conns_.clear();  // drops every queued OutFrame and its lease
     listen_fd_.Reset();
-  }
-
-  Stats stats() const override {
-    Stats out;
-    out.connections_accepted =
-        connections_accepted_.load(std::memory_order_relaxed);
-    out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    out.send_queue_depth = queued_frames_.load(std::memory_order_relaxed);
-    return out;
   }
 
  private:
@@ -250,7 +227,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
       conns_.erase(it);
       return;
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     if (handlers_.on_connect) handlers_.on_connect(id);
   }
 
@@ -354,8 +330,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
         CloseConn(id);
         return;
       }
-      bytes_sent_.fetch_add(static_cast<uint64_t>(n),
-                            std::memory_order_relaxed);
       // Advance `sent` across the queue and retire finished frames.
       size_t written = static_cast<size_t>(n);
       while (written > 0 && !state.out_queue.empty()) {
@@ -363,10 +337,7 @@ class TcpServerEndpoint final : public ServerEndpoint {
         const size_t take = std::min(written, front.size() - front.sent);
         front.sent += take;
         written -= take;
-        if (front.sent == front.size()) {
-          state.out_queue.pop_front();
-          queued_frames_.fetch_sub(1, std::memory_order_relaxed);
-        }
+        if (front.sent == front.size()) state.out_queue.pop_front();
       }
     }
     if (state.out_queue.empty() && state.peer_half_closed) {
@@ -385,8 +356,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
   void CloseConn(ConnId id) {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
-    queued_frames_.fetch_sub(it->second.out_queue.size(),
-                             std::memory_order_relaxed);
     loop_.Remove(it->second.fd.get());
     conns_.erase(it);  // queued OutFrames die here, releasing leases
     if (handlers_.on_disconnect) handlers_.on_disconnect(id);
@@ -399,11 +368,6 @@ class TcpServerEndpoint final : public ServerEndpoint {
   ConnId next_conn_id_ = 1;
   Fd listen_fd_;
   uint16_t port_ = 0;
-  // Written on the loop thread; atomic so stats() can read them anywhere.
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  // Frames enqueued but not fully written.
-  std::atomic<uint64_t> queued_frames_{0};
   std::atomic<bool> stopped_{false};
   // Last, so its thread is joined before anything it touches is destroyed.
   EventLoop loop_;

@@ -48,9 +48,6 @@ class Connection {
   StatusOr<Frame> Receive() { return Receive(Deadline()); }
   virtual void Close() = 0;
   virtual bool alive() const = 0;
-  /// Bytes moved in each direction (for shuffle accounting).
-  virtual uint64_t bytes_sent() const = 0;
-  virtual uint64_t bytes_received() const = 0;
 };
 
 /// Server-side endpoint handling many connections.
@@ -94,15 +91,6 @@ class ServerEndpoint {
 
   /// Stops the event thread and closes all connections.
   virtual void Stop() = 0;
-
-  struct Stats {
-    uint64_t connections_accepted = 0;
-    uint64_t bytes_sent = 0;
-    /// Frames accepted by SendAsync but not yet fully on the wire — an
-    /// instantaneous backlog depth, not a cumulative count.
-    uint64_t send_queue_depth = 0;
-  };
-  virtual Stats stats() const = 0;
 };
 
 /// Factory for one protocol family.

@@ -42,6 +42,12 @@ TEST(ConfigTest, BoolParsing) {
   EXPECT_FALSE(c.GetBool("f2", true));
   EXPECT_FALSE(c.GetBool("f3", true));
   EXPECT_TRUE(c.GetBool("junk", true));  // unparseable -> default
+  // The strict parser behind GetBool rejects what GetBool defaults on.
+  EXPECT_EQ(Config::ParseBool("TRUE"), true);
+  EXPECT_EQ(Config::ParseBool("no"), false);
+  EXPECT_EQ(Config::ParseBool("ture"), std::nullopt);
+  EXPECT_EQ(Config::ParseBool(""), std::nullopt);
+  EXPECT_EQ(Config::ParseBool(" true"), std::nullopt);
 }
 
 struct SizeCase {

@@ -120,20 +120,6 @@ TEST(MetricsRegistryTest, DumpJsonContainsAllSections) {
   EXPECT_NE(json.find("\"value\":4"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, CallbackGaugeEvaluatesAtDumpTime) {
-  MetricsRegistry registry;
-  double live = 1.0;
-  registry.RegisterCallbackGauge(&live, "live_gauge", {},
-                                 [&live] { return live; });
-  EXPECT_NE(registry.DumpText().find("live_gauge 1"), std::string::npos);
-  live = 9.0;
-  EXPECT_NE(registry.DumpText().find("live_gauge 9"), std::string::npos);
-  registry.UnregisterCallbacks(&live);
-  EXPECT_EQ(registry.DumpText().find("live_gauge"), std::string::npos);
-  // Idempotent.
-  registry.UnregisterCallbacks(&live);
-}
-
 TEST(TraceRecorderTest, RecordsLifecycleInOrder) {
   TraceRecorder trace(64);
   const uint64_t id = trace.BeginFetch();

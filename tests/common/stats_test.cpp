@@ -117,49 +117,5 @@ TEST(HistogramTest, BucketUpperBoundsArePowersOfTwo) {
   EXPECT_EQ(h.buckets()[10], 1u);
 }
 
-TEST(TimeSeriesTest, BinsAverageValues) {
-  TimeSeries ts;
-  ts.Record(0.0, 10.0);
-  ts.Record(1.0, 20.0);
-  ts.Record(5.5, 30.0);
-  ts.Record(6.0, 50.0);
-  auto bins = ts.Binned(5.0);
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_DOUBLE_EQ(bins[0].time_sec, 0.0);
-  EXPECT_DOUBLE_EQ(bins[0].mean, 15.0);
-  EXPECT_EQ(bins[0].samples, 2u);
-  EXPECT_DOUBLE_EQ(bins[1].time_sec, 5.0);
-  EXPECT_DOUBLE_EQ(bins[1].mean, 40.0);
-}
-
-TEST(TimeSeriesTest, EmptyBinsOmitted) {
-  TimeSeries ts;
-  ts.Record(0.5, 1.0);
-  ts.Record(20.5, 2.0);
-  auto bins = ts.Binned(5.0);
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_DOUBLE_EQ(bins[1].time_sec, 20.0);
-}
-
-TEST(TimeSeriesTest, NegativeTimestampsBinByFloorNotTruncation) {
-  // Regression: static_cast<int64_t>(t / w) rounds toward zero, so
-  // t in (-w, 0) used to share bin 0 with t in [0, w) instead of getting
-  // bin -1.
-  TimeSeries ts;
-  ts.Record(-2.5, 10.0);  // bin -1: [-5, 0)
-  ts.Record(-5.0, 20.0);  // bin -1
-  ts.Record(2.5, 30.0);   // bin 0: [0, 5)
-  ts.Record(-7.5, 40.0);  // bin -2: [-10, -5)
-  auto bins = ts.Binned(5.0);
-  ASSERT_EQ(bins.size(), 3u);
-  EXPECT_DOUBLE_EQ(bins[0].time_sec, -10.0);
-  EXPECT_EQ(bins[0].samples, 1u);
-  EXPECT_DOUBLE_EQ(bins[1].time_sec, -5.0);
-  EXPECT_EQ(bins[1].samples, 2u);
-  EXPECT_DOUBLE_EQ(bins[1].mean, 15.0);
-  EXPECT_DOUBLE_EQ(bins[2].time_sec, 0.0);
-  EXPECT_EQ(bins[2].samples, 1u);
-}
-
 }  // namespace
 }  // namespace jbs

@@ -21,6 +21,7 @@
 #include "jbs/mof_supplier.h"
 #include "jbs/net_merger.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/fault_injection.h"
 
 namespace jbs {
@@ -214,7 +215,8 @@ TEST_F(ChaosE2ETest, ShuffleSurvivesCorruptionAndSupplierDeath) {
         came_back[key] = true;  // served a sentence, then recovered
       }
     }
-    if (!killed && merger.merger_stats().chunks >= 4) {
+    if (!killed &&
+        SumMetric(merger.metrics(), "jbs_netmerger_chunks_total") >= 4) {
       Kill(0);
       killed = true;
     }
@@ -231,12 +233,16 @@ TEST_F(ChaosE2ETest, ShuffleSurvivesCorruptionAndSupplierDeath) {
   EXPECT_TRUE(got == expected) << "merged output diverged from fault-free run";
   EXPECT_TRUE(killed) << "supplier was never killed mid-shuffle";
 
-  const auto stats = merger.merger_stats();
-  EXPECT_GT(stats.chunks_corrupt, 0u);  // the CRC actually fired
-  EXPECT_GT(stats.chunks_compressed, 0u);  // the wire really was compressed
+  const MetricsRegistry& stats = merger.metrics();
+  // the CRC actually fired
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_chunks_corrupt_total"), 0u);
+  // the wire really was compressed
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_chunks_compressed_total"), 0u);
   EXPECT_GT(flaky_->chaos_corruptions(), 0);
-  EXPECT_GT(stats.penalties, 0u);  // somebody served a sentence
-  EXPECT_GT(stats.failovers, 0u);  // the dead supplier's maps rerouted
+  // somebody served a sentence
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_penalties_total"), 0u);
+  // the dead supplier's maps rerouted
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_failovers_total"), 0u);
 
   // At least one SURVIVING node went penalized-and-back: observed in the
   // box during the run, healthy by the end (node 0 is dead and may stay
@@ -291,10 +297,15 @@ TEST_F(ChaosE2ETest, CorruptCompressedChunksDetectedByCrcAndRetried) {
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_TRUE(Drain(**stream) == expected);
 
-  const auto stats = merger.merger_stats();
-  EXPECT_GT(stats.chunks_corrupt, 0u);     // CRC rejected the flips...
-  EXPECT_GT(stats.chunks_compressed, 0u);  // ...on a compressed wire
-  EXPECT_GT(stats.fetch_retries + stats.failovers, 0u);  // and it recovered
+  const MetricsRegistry& stats = merger.metrics();
+  // CRC rejected the flips...
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_chunks_corrupt_total"), 0u);
+  // ...on a compressed wire
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_chunks_compressed_total"), 0u);
+  // and it recovered
+  EXPECT_GT(SumMetric(stats, "jbs_netmerger_fetch_retries_total") +
+                SumMetric(stats, "jbs_netmerger_failovers_total"),
+            0u);
   merger.Stop();
 }
 
@@ -316,7 +327,8 @@ TEST_F(ChaosE2ETest, CorruptionStormAloneCannotPoisonTheMerge) {
   auto stream = merger.FetchAndMerge(0, ReplicaLocations());
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_TRUE(Drain(**stream) == expected);
-  EXPECT_GT(merger.merger_stats().chunks_corrupt, 0u);
+  EXPECT_GT(SumMetric(merger.metrics(), "jbs_netmerger_chunks_corrupt_total"),
+            0u);
   merger.Stop();
 }
 

@@ -11,6 +11,7 @@
 #include "mapred/engine.h"
 #include "mapred/local_shuffle.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/fault_injection.h"
 
 namespace jbs {
@@ -85,8 +86,9 @@ TEST_F(FaultToleranceTest, ConnectFailuresAreRetried) {
   auto stream = merger.FetchAndMerge(0, locations);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_EQ(Drain(**stream), 400u);
-  EXPECT_GE(merger.merger_stats().fetch_retries, 1u);
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 0u);
+  EXPECT_GE(SumMetric(merger.metrics(), "jbs_netmerger_fetch_retries_total"),
+            1u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 0u);
   merger.Stop();
 }
 
@@ -107,7 +109,8 @@ TEST_F(FaultToleranceTest, MidFetchConnectionDropRecovered) {
   // progress only if the segment fits in 2 chunks; with 512-byte chunks it
   // does not, so this must exhaust retries and fail cleanly.
   EXPECT_FALSE(stream.ok());
-  EXPECT_GE(merger.merger_stats().fetch_retries, 5u);
+  EXPECT_GE(SumMetric(merger.metrics(), "jbs_netmerger_fetch_retries_total"),
+            5u);
   merger.Stop();
   // Now heal the transport: the same fetch succeeds.
   flaky_->BreakConnectionsAfterSends(0);
@@ -125,7 +128,8 @@ TEST_F(FaultToleranceTest, PermanentErrorNotRetried) {
   auto stream = merger.FetchAndMerge(0, locations);
   EXPECT_FALSE(stream.ok());
   // A permanent server-side error must not burn retry attempts.
-  EXPECT_EQ(merger.merger_stats().fetch_retries, 0u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "jbs_netmerger_fetch_retries_total"),
+            0u);
   merger.Stop();
 }
 
@@ -135,8 +139,9 @@ TEST_F(FaultToleranceTest, RetriesExhaustedReportsError) {
   auto merger = MakeMerger(/*max_attempts=*/3);
   auto stream = merger.FetchAndMerge(0, locations);
   EXPECT_FALSE(stream.ok());
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 1u);
-  EXPECT_EQ(merger.merger_stats().fetch_retries, 2u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 1u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "jbs_netmerger_fetch_retries_total"),
+            2u);
   merger.Stop();
 }
 

@@ -14,6 +14,7 @@
 #include "jbs/mof_supplier.h"
 #include "jbs/net_merger.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/fault_injection.h"
 #include "transport/rdma_transport.h"
 
@@ -123,7 +124,8 @@ TEST_P(FetchRobustnessTest, DeadlineExpiryLeavesCompleteTraceTimeline) {
   ASSERT_FALSE(stream.ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kDeadlineExceeded)
       << stream.status().ToString();
-  EXPECT_GT(merger.merger_stats().deadline_expiries, 0u);
+  EXPECT_GT(
+      SumMetric(merger.metrics(), "jbs_netmerger_deadline_expiries_total"), 0u);
 
   // The lone fetch is id 1 in the merger's private recorder. Its timeline
   // must tell the whole story: queued, dialed, then failed — with the
@@ -181,7 +183,7 @@ TEST_P(FetchRobustnessTest, StopUnblocksEveryFetchAndMergeCaller) {
   EXPECT_LT(ElapsedMs(start), 5000);
   EXPECT_EQ(merger.pending_node_count(), 0u);
   // Drained tasks are cancellations, not fetch failures.
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 0u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 0u);
   // A caller arriving after Stop() fails fast.
   EXPECT_EQ(merger.FetchAndMerge(0, locations).status().code(),
             StatusCode::kUnavailable);
@@ -214,7 +216,7 @@ TEST_P(FetchRobustnessTest, DuplicateSourcesCollapseToOneFetch) {
   auto stream = merger.FetchAndMerge(0, dup);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_EQ(Drain(**stream), 200u);  // one copy of the segment, not three
-  EXPECT_EQ(merger.merger_stats().fetches, 1u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetches_total"), 1u);
   merger.Stop();
 }
 
@@ -232,7 +234,7 @@ TEST_P(FetchRobustnessTest, ConflictingDuplicatesActAsFailoverReplicas) {
   auto stream = merger.FetchAndMerge(0, {dead, locations[0]});
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_EQ(Drain(**stream), 200u);
-  EXPECT_GE(merger.merger_stats().failovers, 1u);
+  EXPECT_GE(SumMetric(merger.metrics(), "jbs_netmerger_failovers_total"), 1u);
   merger.Stop();
 }
 
@@ -244,7 +246,8 @@ TEST_P(FetchRobustnessTest, DialFailuresNotCountedAsConnectionsOpened) {
   shuffle::NetMerger merger(options);
   EXPECT_FALSE(merger.FetchAndMerge(0, locations).ok());
   // Every dial failed, so no connection was ever opened.
-  EXPECT_EQ(merger.merger_stats().connections_opened, 0u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_connections_opened_total"),
+            0u);
   merger.Stop();
 
   // Healed: one real dial, counted once.
@@ -252,7 +255,8 @@ TEST_P(FetchRobustnessTest, DialFailuresNotCountedAsConnectionsOpened) {
   shuffle::NetMerger merger2(BaseOptions());
   auto stream = merger2.FetchAndMerge(0, locations);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_EQ(merger2.merger_stats().connections_opened, 1u);
+  EXPECT_EQ(SumMetric(merger2.metrics(), "shuffle_connections_opened_total"),
+            1u);
   merger2.Stop();
 }
 
@@ -268,8 +272,9 @@ TEST_P(FetchRobustnessTest, RetryBackoffIsCappedForLargeAttemptCounts) {
   const auto start = Clock::now();
   auto stream = merger.FetchAndMerge(0, locations);
   ASSERT_FALSE(stream.ok());
-  EXPECT_EQ(merger.merger_stats().fetch_retries, 39u);
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 1u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "jbs_netmerger_fetch_retries_total"),
+            39u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 1u);
   EXPECT_LT(ElapsedMs(start), 10000);  // 39 capped backoffs, not 2^39 ms
   merger.Stop();
 }

@@ -7,12 +7,15 @@
 #include <chrono>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <thread>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/transport.h"
 
 namespace jbs::shuffle {
@@ -118,7 +121,8 @@ TEST_F(MofSupplierTest, ServesWholeSegmentInChunks) {
   std::vector<uint8_t> expected;
   ASSERT_TRUE(reader->ReadSegment(1, expected).ok());
   EXPECT_EQ(*segment, expected);
-  EXPECT_GT(supplier.supplier_stats().requests, 1u);  // chunked
+  // chunked
+  EXPECT_GT(SumMetric(supplier.metrics(), "shuffle_requests_total"), 1u);
   supplier.Stop();
 }
 
@@ -202,9 +206,9 @@ TEST_F(MofSupplierTest, IndexCacheHitsOnRepeatedFetches) {
       }
     }
   }
-  auto stats = supplier.supplier_stats();
-  EXPECT_EQ(stats.index.misses, 1u);
-  EXPECT_GE(stats.index.hits, 7u);
+  const MetricsRegistry& stats = supplier.metrics();
+  EXPECT_EQ(SumMetric(stats, "jbs_mofsupplier_indexcache_misses"), 1u);
+  EXPECT_GE(SumMetric(stats, "jbs_mofsupplier_indexcache_hits"), 7u);
   supplier.Stop();
 }
 
@@ -236,7 +240,7 @@ TEST_F(MofSupplierTest, ConcurrentClientsAllServed) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(supplier.supplier_stats().batches, 1u);
+  EXPECT_GE(SumMetric(supplier.metrics(), "jbs_mofsupplier_batches_total"), 1u);
   supplier.Stop();
 }
 
@@ -279,7 +283,7 @@ TEST_F(MofSupplierTest, SixConnectionsRefetchByteIdenticalWithChunkCrc) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(supplier.supplier_stats().bytes_served, 0u);
+  EXPECT_GT(SumMetric(supplier.metrics(), "shuffle_bytes_served_total"), 0u);
   supplier.Stop();
 }
 
@@ -325,6 +329,23 @@ TEST_F(MofSupplierTest, RejectsBufferTooSmallForChunkHeader) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
         << "buffer_size " << buffer_size << ": " << st.ToString();
   }
+  // A zero count would park every disk thread in Acquire, and 2^63 * 2
+  // wraps size_t to a zero-byte arena. Both are refused before any thread
+  // starts.
+  const size_t half = (std::numeric_limits<size_t>::max() >> 1) + 1;
+  for (const auto& [buffer_size, buffer_count] :
+       {std::pair<size_t, size_t>{4096, 0}, {half, 2}}) {
+    MofSupplier::Options options;
+    options.transport = transport_.get();
+    options.buffer_size = buffer_size;
+    options.buffer_count = buffer_count;
+    MofSupplier supplier(options);
+    const size_t threads_before = ThreadCount();
+    const Status st = supplier.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << buffer_size << " x " << buffer_count << ": " << st.ToString();
+    EXPECT_EQ(ThreadCount(), threads_before);
+  }
 }
 
 TEST_F(MofSupplierTest, StopUnderLoadJoinsThreadsAndReturnsBuffers) {
@@ -355,28 +376,25 @@ TEST_F(MofSupplierTest, StopUnderLoadJoinsThreadsAndReturnsBuffers) {
     FetchRequest request{0, 0, 0, static_cast<uint32_t>(kBufferSize)};
     ASSERT_TRUE((*conn)->Send(EncodeRequest(request)).ok());
   }
-  const MetricLabels labels{{"server", "mofsupplier"}};
-  MetricGauge* in_use = supplier.metrics().GetGauge(
-      "jbs_mofsupplier_datacache_buffers_in_use", labels);
-  MetricGauge* waiters =
-      supplier.metrics().GetGauge("buffer_pool_waiters", labels);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   for (;;) {
-    (void)supplier.supplier_stats();  // refreshes the gauges
-    if (in_use->value() == static_cast<double>(kBuffers) &&
-        waiters->value() >= 1) {
-      break;
-    }
+    const MetricsRegistry& metrics = supplier.metrics();  // live gauges
+    const uint64_t in_use =
+        SumMetric(metrics, "jbs_mofsupplier_datacache_buffers_in_use");
+    const uint64_t waiters = SumMetric(metrics, "buffer_pool_waiters");
+    if (in_use == kBuffers && waiters >= 1) break;
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "DataCache never saturated: in_use " << in_use->value()
-        << ", waiters " << waiters->value();
+        << "DataCache never saturated: in_use " << in_use << ", waiters "
+        << waiters;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
   supplier.Stop();
   EXPECT_EQ(ThreadCount(), threads_before);
-  EXPECT_EQ(in_use->value(), 0.0);
+  EXPECT_EQ(SumMetric(supplier.metrics(),
+                      "jbs_mofsupplier_datacache_buffers_in_use"),
+            0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "jbs/mof_supplier.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/transport.h"
 
 namespace jbs::shuffle {
@@ -108,9 +109,9 @@ TEST_F(NetMergerTest, MergesAcrossNodesSorted) {
   auto stream = merger.FetchAndMerge(1, locations);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   CheckMerged(**stream, 1, 6 * 25);
-  auto stats = merger.merger_stats();
-  EXPECT_EQ(stats.fetches, 6u);
-  EXPECT_GT(stats.bytes_fetched, 0u);
+  const MetricsRegistry& stats = merger.metrics();
+  EXPECT_EQ(SumMetric(stats, "shuffle_fetches_total"), 6u);
+  EXPECT_GT(SumMetric(stats, "shuffle_bytes_fetched_total"), 0u);
   merger.Stop();
 }
 
@@ -119,7 +120,8 @@ TEST_F(NetMergerTest, ConsolidationUsesOneConnectionPerNode) {
   auto merger = MakeMerger(/*consolidate=*/true);
   ASSERT_TRUE(merger.FetchAndMerge(0, locations).ok());
   // 12 fetches but only 3 nodes -> exactly 3 dials.
-  EXPECT_EQ(merger.merger_stats().connections_opened, 3u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_connections_opened_total"),
+            3u);
   merger.Stop();
 }
 
@@ -127,7 +129,8 @@ TEST_F(NetMergerTest, NoConsolidationDialsPerFetch) {
   auto locations = MakeCluster(3, 4, 1, 10);
   auto merger = MakeMerger(/*consolidate=*/false);
   ASSERT_TRUE(merger.FetchAndMerge(0, locations).ok());
-  EXPECT_EQ(merger.merger_stats().connections_opened, 12u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_connections_opened_total"),
+            12u);
   merger.Stop();
 }
 
@@ -142,12 +145,15 @@ TEST_F(NetMergerTest, RefetchDoesNotDoubleCountConnectionsOpened) {
   ASSERT_TRUE(merger.FetchAndMerge(0, locations).ok());
   // 24 fetches across two rounds; the second round reuses the 3 cached
   // connections, so exactly 3 dials total.
-  EXPECT_EQ(merger.merger_stats().connections_opened, 3u);
-  const auto cs = merger.connection_stats();
+  const MetricsRegistry& metrics = merger.metrics();
+  const uint64_t opened =
+      SumMetric(metrics, "shuffle_connections_opened_total");
+  EXPECT_EQ(opened, 3u);
   // Invariant: every successful dial is a cache miss that didn't fail.
-  EXPECT_EQ(cs.misses - cs.dial_failures,
-            merger.merger_stats().connections_opened);
-  EXPECT_GT(cs.hits, 0u);
+  EXPECT_EQ(SumMetric(metrics, "jbs_connmgr_misses") -
+                SumMetric(metrics, "jbs_connmgr_dial_failures"),
+            opened);
+  EXPECT_GT(SumMetric(metrics, "jbs_connmgr_hits"), 0u);
   merger.Stop();
 }
 
@@ -194,7 +200,8 @@ TEST_F(NetMergerTest, ConcurrentReducersShareMerger) {
   EXPECT_TRUE(s0.ok()) << s0.ToString();
   EXPECT_TRUE(s1.ok()) << s1.ToString();
   // Still only one connection per remote node despite 2 reducers.
-  EXPECT_EQ(merger.merger_stats().connections_opened, 2u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_connections_opened_total"),
+            2u);
   merger.Stop();
 }
 
@@ -205,7 +212,8 @@ TEST_F(NetMergerTest, RoundRobinSwitchesNodes) {
   ASSERT_TRUE(merger.FetchAndMerge(0, locations).ok());
   // With 1 data thread, RR must alternate nodes: 12 tasks across 4 nodes
   // yields ~11 switches; key-ordered FIFO would do 3.
-  EXPECT_GE(merger.merger_stats().node_switches, 8u);
+  EXPECT_GE(SumMetric(merger.metrics(), "jbs_netmerger_node_switches_total"),
+            8u);
   merger.Stop();
 }
 
@@ -214,7 +222,8 @@ TEST_F(NetMergerTest, FifoModeDrainsNodeByNode) {
   auto merger = MakeMerger(/*consolidate=*/true, /*round_robin=*/false,
                            /*data_threads=*/1);
   ASSERT_TRUE(merger.FetchAndMerge(0, locations).ok());
-  EXPECT_LE(merger.merger_stats().node_switches, 3u);
+  EXPECT_LE(SumMetric(merger.metrics(), "jbs_netmerger_node_switches_total"),
+            3u);
   merger.Stop();
 }
 
@@ -224,7 +233,7 @@ TEST_F(NetMergerTest, FetchErrorPropagates) {
   auto merger = MakeMerger();
   auto stream = merger.FetchAndMerge(0, locations);
   EXPECT_FALSE(stream.ok());
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 1u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 1u);
   merger.Stop();
 }
 

@@ -13,6 +13,7 @@
 #include "jbs/net_merger.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/tcp_transport.h"
 
 namespace jbs {
@@ -107,10 +108,11 @@ TEST_F(OverloadControlTest, InflightByteBoundShedsWithBusyReply) {
   EXPECT_GE(busy->retry_after_ms, 5u);    // backlog-derived hint floor
   EXPECT_LE(busy->retry_after_ms, 1000u);  // and its cap
 
-  const auto stats = supplier->supplier_stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.errors, 0u);  // shed is pushback, not an error reply
+  const MetricsRegistry& stats = supplier->metrics();
+  EXPECT_EQ(SumMetric(stats, "jbs_supplier_shed_total"), 1u);
+  EXPECT_EQ(SumMetric(stats, "shuffle_requests_total"), 1u);
+  // shed is pushback, not an error reply
+  EXPECT_EQ(SumMetric(stats, "shuffle_serve_errors_total"), 0u);
 }
 
 TEST_F(OverloadControlTest, QueueBoundShedsUnderBurstButServesAdmitted) {
@@ -150,9 +152,11 @@ TEST_F(OverloadControlTest, QueueBoundShedsUnderBurstButServesAdmitted) {
   // serve the admitted rest — every request gets exactly one reply.
   EXPECT_GT(busy, 0);
   EXPECT_GT(data, 0);
-  const auto stats = supplier->supplier_stats();
-  EXPECT_EQ(stats.shed, static_cast<uint64_t>(busy));
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kBurst));
+  const MetricsRegistry& stats = supplier->metrics();
+  EXPECT_EQ(SumMetric(stats, "jbs_supplier_shed_total"),
+            static_cast<uint64_t>(busy));
+  EXPECT_EQ(SumMetric(stats, "shuffle_requests_total"),
+            static_cast<uint64_t>(kBurst));
 }
 
 TEST_F(OverloadControlTest, MergerTreatsBusyAsPushbackNotFailure) {
@@ -177,14 +181,16 @@ TEST_F(OverloadControlTest, MergerTreatsBusyAsPushbackNotFailure) {
   EXPECT_EQ(stream.status().code(), StatusCode::kResourceExhausted)
       << stream.status().ToString();
 
-  const auto stats = merger.merger_stats();
+  const MetricsRegistry& stats = merger.metrics();
   // One busy per conversation: the initial try plus the two budgeted
   // retries, then the budget-exhausting reply completes the fetch.
-  EXPECT_EQ(stats.pushbacks, 3u);
-  EXPECT_EQ(stats.fetch_retries, 0u);  // no transient attempt consumed
-  EXPECT_EQ(stats.failovers, 0u);
-  EXPECT_EQ(stats.penalties, 0u);
-  EXPECT_EQ(stats.chunks_corrupt, 0u);  // busy never reaches the CRC path
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_pushback_total"), 3u);
+  // no transient attempt consumed
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_fetch_retries_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_failovers_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_penalties_total"), 0u);
+  // busy never reaches the CRC path
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_chunks_corrupt_total"), 0u);
   const std::string node =
       "127.0.0.1:" + std::to_string(supplier->port());
   EXPECT_EQ(merger.node_health(node), shuffle::NodeState::kHealthy);
@@ -213,8 +219,8 @@ TEST_F(OverloadControlTest, BusyNeverPromotesFailoverReplica) {
           {0, 1, "127.0.0.1", replica->port()}});
   ASSERT_FALSE(stream.ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(merger.merger_stats().failovers, 0u);
-  EXPECT_EQ(replica->supplier_stats().requests, 0u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "jbs_netmerger_failovers_total"), 0u);
+  EXPECT_EQ(SumMetric(replica->metrics(), "shuffle_requests_total"), 0u);
   merger.Stop();
 }
 
@@ -281,16 +287,17 @@ TEST_F(OverloadControlTest, OverloadedShuffleCompletesByteIdentical) {
     auto stream = runs[r].get();
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
     EXPECT_TRUE(Drain(**stream) == expected) << "reducer " << r << " diverged";
-    const auto mstats = mergers[r]->merger_stats();
-    pushbacks += mstats.pushbacks;
+    const MetricsRegistry& mstats = mergers[r]->metrics();
+    pushbacks += SumMetric(mstats, "jbs_netmerger_pushback_total");
     // Overload converted into zero spurious robustness reactions.
-    EXPECT_EQ(mstats.penalties, 0u);
-    EXPECT_EQ(mstats.failovers, 0u);
-    EXPECT_EQ(mstats.chunks_corrupt, 0u);
+    EXPECT_EQ(SumMetric(mstats, "jbs_netmerger_penalties_total"), 0u);
+    EXPECT_EQ(SumMetric(mstats, "jbs_netmerger_failovers_total"), 0u);
+    EXPECT_EQ(SumMetric(mstats, "jbs_netmerger_chunks_corrupt_total"), 0u);
     mergers[r]->Stop();
   }
   // Contention really happened and was observable on both sides.
-  EXPECT_GT(bounded_supplier->supplier_stats().shed, 0u);
+  EXPECT_GT(SumMetric(bounded_supplier->metrics(), "jbs_supplier_shed_total"),
+            0u);
   EXPECT_GT(pushbacks, 0u);
 }
 

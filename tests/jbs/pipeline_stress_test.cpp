@@ -13,6 +13,7 @@
 #include "jbs/net_merger.h"
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/transport.h"
 
 namespace jbs::shuffle {
@@ -177,11 +178,13 @@ TEST_F(PipelineStressTest, InterleavedWindowedFetchesReassembleExactly) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const auto stats = supplier.supplier_stats();
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_GT(stats.batches, 0u);
-  EXPECT_GT(stats.fd.hits, 0u);        // descriptors were reused
-  EXPECT_GT(stats.fd.evictions, 0u);   // and the small cache churned
+  const MetricsRegistry& stats = supplier.metrics();
+  EXPECT_EQ(SumMetric(stats, "shuffle_serve_errors_total"), 0u);
+  EXPECT_GT(SumMetric(stats, "jbs_mofsupplier_batches_total"), 0u);
+  // descriptors were reused
+  EXPECT_GT(SumMetric(stats, "jbs_mofsupplier_fdcache_hits"), 0u);
+  // and the small cache churned
+  EXPECT_GT(SumMetric(stats, "jbs_mofsupplier_fdcache_evictions"), 0u);
   // Satellite: drained group queues are erased, not leaked.
   EXPECT_EQ(supplier.pending_group_count(), 0u);
   supplier.Stop();
@@ -235,9 +238,11 @@ TEST_F(PipelineStressTest, NetMergerWindowedFetchOverPipelinedSupplier) {
   r1.join();
   EXPECT_TRUE(s0.ok()) << s0.ToString();
   EXPECT_TRUE(s1.ok()) << s1.ToString();
-  const auto mstats = merger.merger_stats();
-  EXPECT_EQ(mstats.fetches, 2u * kMofs);
-  EXPECT_GT(mstats.chunks, mstats.fetches);  // multi-chunk segments
+  const MetricsRegistry& mstats = merger.metrics();
+  EXPECT_EQ(SumMetric(mstats, "shuffle_fetches_total"), 2u * kMofs);
+  // multi-chunk segments
+  EXPECT_GT(SumMetric(mstats, "jbs_netmerger_chunks_total"),
+            SumMetric(mstats, "shuffle_fetches_total"));
   merger.Stop();
   supplier.Stop();
 }
@@ -267,9 +272,10 @@ TEST_F(PipelineStressTest, SerializedModeKeepsSeedBatchSemantics) {
 
   // Seed equivalence: serialized mode serves one request per disk-server
   // turn, so batches == requests, and a single MOF switches groups once.
-  const auto stats = supplier.supplier_stats();
-  EXPECT_EQ(stats.batches, stats.requests);
-  EXPECT_EQ(stats.group_switches, 1u);
+  const MetricsRegistry& stats = supplier.metrics();
+  EXPECT_EQ(SumMetric(stats, "jbs_mofsupplier_batches_total"),
+            SumMetric(stats, "shuffle_requests_total"));
+  EXPECT_EQ(SumMetric(stats, "jbs_mofsupplier_group_switches_total"), 1u);
   EXPECT_EQ(supplier.pending_group_count(), 0u);
   supplier.Stop();
 }

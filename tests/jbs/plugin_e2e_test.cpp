@@ -3,7 +3,6 @@
 // produce byte-identical output — JBS is a *transparent* plug-in (§III-A).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -12,31 +11,12 @@
 #include "jbs/plugin.h"
 #include "mapred/engine.h"
 #include "mapred/local_shuffle.h"
+#include "metric_sum.h"
 
 namespace jbs {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Sums the values of every exposition line starting with `prefix`
-/// (e.g. `shuffle_fetches_total{` sums the counter across instances).
-uint64_t SumMetric(const std::string& text, const std::string& prefix) {
-  uint64_t sum = 0;
-  size_t pos = 0;
-  while ((pos = text.find(prefix, pos)) != std::string::npos) {
-    const size_t line_end = text.find('\n', pos);
-    const std::string line = text.substr(
-        pos, line_end == std::string::npos ? std::string::npos
-                                           : line_end - pos);
-    const size_t space = line.rfind(' ');
-    if (space != std::string::npos) {
-      sum += std::strtoull(line.c_str() + space + 1, nullptr, 10);
-    }
-    if (line_end == std::string::npos) break;
-    pos = line_end;
-  }
-  return sum;
-}
 
 class PluginE2eTest : public ::testing::Test {
  protected:
@@ -147,6 +127,42 @@ TEST_F(PluginE2eTest, ShuffleBytesArePerJobWhenPluginIsReused) {
   }
 }
 
+// The cache and connection-manager gauges belong to the per-job supplier
+// and merger objects, which publish under the same per-node labels on a
+// reused plugin. A job's values must therefore replace the previous job's,
+// not add to them: jobbench reads them after each job as that job's own.
+TEST_F(PluginE2eTest, CacheGaugesAreTheLastJobsOwnCounts) {
+  const std::string small = "jvm bypass shuffle merge\n";
+  ASSERT_TRUE(dfs_->WriteFile("/in/small",
+                              {reinterpret_cast<const uint8_t*>(small.data()),
+                               small.size()})
+                  .ok());
+  shuffle::JbsShufflePlugin jbs_tcp;
+  mr::LocalJobRunner runner(RunnerOptions(jbs_tcp, "gauges"));
+  auto first = runner.Run(WordCount("/out/gauges_first"));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const MetricsRegistry& registry = jbs_tcp.metrics();
+  const uint64_t opened_before =
+      SumMetric(registry, "shuffle_connections_opened_total");
+  mr::JobSpec spec = WordCount("/out/gauges_second");
+  spec.input_path = "/in/small";
+  auto second = runner.Run(spec);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_LT(second->map_tasks, first->map_tasks);
+
+  // Each MOF's index and data file is read through one miss.
+  EXPECT_EQ(SumMetric(registry, "jbs_mofsupplier_indexcache_misses"),
+            second->map_tasks);
+  EXPECT_EQ(SumMetric(registry, "jbs_mofsupplier_fdcache_misses"),
+            second->map_tasks);
+  // Every connection-cache miss is a dial; the ones that connected are
+  // this job's delta of the shuffle_connections_opened_total counter.
+  EXPECT_EQ(SumMetric(registry, "jbs_connmgr_misses") -
+                SumMetric(registry, "jbs_connmgr_dial_failures"),
+            SumMetric(registry, "shuffle_connections_opened_total") -
+                opened_before);
+}
+
 TEST_F(PluginE2eTest, AllShufflesProduceIdenticalOutput) {
   mr::LocalShufflePlugin local;
   const std::string reference = RunWith(local, "local");
@@ -172,12 +188,14 @@ TEST_F(PluginE2eTest, RunPopulatesMetricsAndTrace) {
   // shared registry, and the trace ring holds complete fetch lifecycles.
   shuffle::JbsShufflePlugin jbs_tcp;
   RunWith(jbs_tcp, "jbs_metrics");
-  const std::string text = jbs_tcp.metrics().DumpText();
-  EXPECT_GT(SumMetric(text, "shuffle_fetch_latency_ms_count{"), 0u) << text;
-  EXPECT_GT(SumMetric(text, "shuffle_fetches_total{"), 0u);
-  EXPECT_GT(SumMetric(text, "shuffle_connections_opened_total{"), 0u);
-  EXPECT_GT(SumMetric(text, "shuffle_bytes_served_total{"), 0u);
-  EXPECT_GT(SumMetric(text, "shuffle_requests_total{"), 0u);
+  const MetricsRegistry& registry = jbs_tcp.metrics();
+  const std::string text = registry.DumpText();
+  EXPECT_GT(SumMetric(registry, "shuffle_fetch_latency_ms_count"), 0u)
+      << text;
+  EXPECT_GT(SumMetric(registry, "shuffle_fetches_total"), 0u);
+  EXPECT_GT(SumMetric(registry, "shuffle_connections_opened_total"), 0u);
+  EXPECT_GT(SumMetric(registry, "shuffle_bytes_served_total"), 0u);
+  EXPECT_GT(SumMetric(registry, "shuffle_requests_total"), 0u);
   EXPECT_NE(text.find("jbs_mofsupplier_fdcache_hits{"), std::string::npos);
   EXPECT_NE(text.find("jbs_connmgr_hits{"), std::string::npos);
   // Per-node instances stay distinguishable in the shared registry.
@@ -195,8 +213,9 @@ TEST_F(PluginE2eTest, RunPopulatesMetricsAndTrace) {
   baseline::HadoopShufflePlugin hadoop(hopts);
   RunWith(hadoop, "hadoop_metrics");
   const std::string btext = hadoop.metrics().DumpText();
-  EXPECT_GT(SumMetric(btext, "shuffle_fetches_total{"), 0u) << btext;
-  EXPECT_GT(SumMetric(btext, "shuffle_requests_total{"), 0u);
+  EXPECT_GT(SumMetric(hadoop.metrics(), "shuffle_fetches_total"), 0u)
+      << btext;
+  EXPECT_GT(SumMetric(hadoop.metrics(), "shuffle_requests_total"), 0u);
   EXPECT_NE(btext.find("client=\"mofcopier\""), std::string::npos);
   EXPECT_NE(btext.find("server=\"httpservlet\""), std::string::npos);
 }

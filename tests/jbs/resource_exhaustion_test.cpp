@@ -17,6 +17,7 @@
 #include "jbs/mof_supplier.h"
 #include "jbs/net_merger.h"
 #include "mapred/ifile.h"
+#include "metric_sum.h"
 #include "transport/transport.h"
 
 namespace jbs {
@@ -159,9 +160,9 @@ TEST_F(ResourceExhaustionTest, MidStreamPreadEioRecoveredServerSide) {
 
   EXPECT_EQ(failpoints::FireCount("supplier.pread"), 1u);
   EXPECT_GE(failpoints::HitCount("supplier.pread"), 4u);  // incl. the retry
-  const auto stats = merger.merger_stats();
-  EXPECT_EQ(stats.fetch_retries, 0u);
-  EXPECT_EQ(stats.fetch_errors, 0u);
+  const MetricsRegistry& stats = merger.metrics();
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_fetch_retries_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "shuffle_fetch_errors_total"), 0u);
   merger.Stop();
 }
 
@@ -179,7 +180,7 @@ TEST_F(ResourceExhaustionTest, ShortReadsAreTransparentlyCompleted) {
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_TRUE(Drain(**stream) == expected);
   EXPECT_GT(failpoints::FireCount("supplier.pread"), 100u);
-  EXPECT_EQ(merger.merger_stats().fetch_errors, 0u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 0u);
   merger.Stop();
 }
 
@@ -204,8 +205,8 @@ TEST_F(ResourceExhaustionTest, PersistentPreadFailureFailsOverToReplica) {
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_TRUE(Drain(**stream) == expected);
   EXPECT_EQ(failpoints::FireCount("supplier.pread"), 2u);
-  EXPECT_GE(merger.merger_stats().failovers, 1u);
-  EXPECT_GE(primary->supplier_stats().errors, 1u);
+  EXPECT_GE(SumMetric(merger.metrics(), "jbs_netmerger_failovers_total"), 1u);
+  EXPECT_GE(SumMetric(primary->metrics(), "shuffle_serve_errors_total"), 1u);
   merger.Stop();
 }
 
@@ -237,12 +238,12 @@ TEST_P(ResourceExhaustionServeModeTest,
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   EXPECT_TRUE(Drain(**stream) == expected);
 
-  const auto stats = merger.merger_stats();
-  EXPECT_EQ(stats.pushbacks, 2u);
-  EXPECT_EQ(stats.fetch_retries, 0u);
-  EXPECT_EQ(stats.penalties, 0u);
-  EXPECT_EQ(stats.failovers, 0u);
-  EXPECT_EQ(supplier->supplier_stats().shed, 2u);
+  const MetricsRegistry& stats = merger.metrics();
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_pushback_total"), 2u);
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_fetch_retries_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_penalties_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "jbs_netmerger_failovers_total"), 0u);
+  EXPECT_EQ(SumMetric(supplier->metrics(), "jbs_supplier_shed_total"), 2u);
   merger.Stop();
 }
 
@@ -311,9 +312,9 @@ TEST_F(ResourceExhaustionTest, EmfileStormDuringShuffleSurvives) {
   uint64_t emergency_evictions = 0;
   uint64_t shed = 0;
   for (auto* node : nodes) {
-    const auto stats = node->supplier_stats();
-    emergency_evictions += stats.fd.emergency_evictions;
-    shed += stats.shed;
+    const MetricsRegistry& stats = node->metrics();
+    emergency_evictions += SumMetric(stats, "fd_cache_emergency_evictions");
+    shed += SumMetric(stats, "jbs_supplier_shed_total");
   }
   // Warm caches mean the first EMFILE on each supplier finds a victim.
   EXPECT_GT(emergency_evictions, 0u);

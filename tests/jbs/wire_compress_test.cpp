@@ -16,6 +16,7 @@
 #include "jbs/protocol.h"
 #include "mapred/ifile.h"
 #include "mapred/mof.h"
+#include "metric_sum.h"
 #include "transport/transport.h"
 
 namespace jbs::shuffle {
@@ -178,9 +179,10 @@ TEST_F(WireCompressTest, AdvertisedClientGetsCompressedByteIdenticalChunks) {
   // The wire carried fewer payload bytes than the logical segment.
   EXPECT_LT(fetched->wire_payload_bytes, fetched->segment.size());
 
-  const auto stats = supplier->supplier_stats();
-  EXPECT_GT(stats.chunks_compressed, 0u);
-  EXPECT_GT(stats.bytes_logical, stats.bytes_wire);
+  const MetricsRegistry& stats = supplier->metrics();
+  EXPECT_GT(SumMetric(stats, "jbs_mofsupplier_chunks_compressed_total"), 0u);
+  EXPECT_GT(SumMetric(stats, "jbs_wire_bytes_logical_total"),
+            SumMetric(stats, "jbs_wire_bytes_wire_total"));
   supplier->Stop();
 }
 
@@ -197,7 +199,9 @@ TEST_F(WireCompressTest, HellolessClientStillGetsRawChunks) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(fetched->compressed_chunks, 0);
   EXPECT_EQ(fetched->segment, DiskSegment(handle, 0));
-  EXPECT_EQ(supplier->supplier_stats().chunks_compressed, 0u);
+  EXPECT_EQ(
+      SumMetric(supplier->metrics(), "jbs_mofsupplier_chunks_compressed_total"),
+      0u);
   supplier->Stop();
 }
 
@@ -229,10 +233,11 @@ TEST_F(WireCompressTest, IncompressibleChunksShipRawViaBailout) {
   EXPECT_EQ(fetched->compressed_chunks, 0);
   EXPECT_EQ(fetched->segment, DiskSegment(handle, 0));
 
-  const auto stats = supplier->supplier_stats();
-  EXPECT_GT(stats.compress_bailouts, 0u);
-  EXPECT_EQ(stats.chunks_compressed, 0u);
-  EXPECT_EQ(stats.bytes_logical, stats.bytes_wire);
+  const MetricsRegistry& stats = supplier->metrics();
+  EXPECT_GT(SumMetric(stats, "jbs_mofsupplier_compress_bailouts_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "jbs_mofsupplier_chunks_compressed_total"), 0u);
+  EXPECT_EQ(SumMetric(stats, "jbs_wire_bytes_logical_total"),
+            SumMetric(stats, "jbs_wire_bytes_wire_total"));
   supplier->Stop();
 }
 
@@ -247,15 +252,16 @@ TEST_F(WireCompressTest, CompressMemoHitsAcrossRefetch) {
 
   auto first = Fetch(**conn, 2, 0, 1 << 16);
   ASSERT_TRUE(first.ok());
-  const auto after_first = supplier->supplier_stats();
+  const uint64_t compressed_first = SumMetric(
+      supplier->metrics(), "jbs_mofsupplier_chunks_compressed_total");
   // Retransmit sweep: the same chunks again must come from the memo —
   // compressed once, served twice.
   auto second = Fetch(**conn, 2, 0, 1 << 16);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->segment, first->segment);
-  const auto after_second = supplier->supplier_stats();
-  EXPECT_EQ(after_second.chunks_compressed,
-            2 * after_first.chunks_compressed);
+  EXPECT_EQ(SumMetric(supplier->metrics(),
+                      "jbs_mofsupplier_chunks_compressed_total"),
+            2 * compressed_first);
   // No new compression work: the miss counter did not move.
   EXPECT_EQ(
       supplier->metrics()
@@ -289,7 +295,9 @@ TEST_F(WireCompressTest, SegmentCompressedMofIsNeverRecompressed) {
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
   EXPECT_EQ(fetched->compressed_chunks, 0);
   EXPECT_EQ(fetched->segment, packed);  // served as stored
-  EXPECT_EQ(supplier->supplier_stats().chunks_compressed, 0u);
+  EXPECT_EQ(
+      SumMetric(supplier->metrics(), "jbs_mofsupplier_chunks_compressed_total"),
+      0u);
   supplier->Stop();
 }
 
@@ -324,7 +332,7 @@ TEST_F(WireCompressTest, MergerDecompressesEndToEnd) {
       EXPECT_TRUE((*stream)->status().ok());
     }
     const uint64_t compressed_chunks =
-        merger.merger_stats().chunks_compressed;
+        SumMetric(merger.metrics(), "jbs_netmerger_chunks_compressed_total");
     merger.Stop();
     return std::pair<std::string, uint64_t>{flat, compressed_chunks};
   };

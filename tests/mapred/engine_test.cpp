@@ -245,6 +245,21 @@ TEST_F(EngineTest, IncompleteSpecRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(EngineTest, MalformedCompressFlagRejected) {
+  WriteTextInput("/in/typo", "a b a\n");
+  LocalJobRunner::Options opts;
+  opts.dfs = dfs_.get();
+  opts.plugin = &plugin_;
+  opts.work_dir = root_ / "work";
+  opts.conf.Set(conf::kCompressMapOutput, "ture");
+  auto result = LocalJobRunner(opts).Run(WordCount("/in/typo", "/out/typo", 1));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(conf::kCompressMapOutput),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST_F(EngineTest, LineOwnershipAcrossSplitBoundaries) {
   // A line straddling a block boundary belongs to the split where it
   // starts; no line may be read twice or dropped. Construct lines whose

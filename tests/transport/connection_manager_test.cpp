@@ -39,8 +39,6 @@ class FakeTransport final : public Transport {
       if (!dead_.exchange(true)) closed_->fetch_add(1);
     }
     bool alive() const override { return !dead_; }
-    uint64_t bytes_sent() const override { return 0; }
-    uint64_t bytes_received() const override { return 0; }
 
    private:
     std::atomic<int>* closed_;

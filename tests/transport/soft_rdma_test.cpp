@@ -191,8 +191,8 @@ TEST_F(SoftRdmaTest, BidirectionalTraffic) {
   auto wc2 = client_.recv_cq.WaitPoll();
   ASSERT_TRUE(wc2.has_value() && wc2->status == WcStatus::kSuccess);
   EXPECT_EQ(std::string(client_buf.begin(), client_buf.begin() + 4), "pong");
-  EXPECT_EQ(client_.qp->bytes_sent(), 4u);
-  EXPECT_EQ(client_.qp->bytes_received(), 4u);
+  EXPECT_EQ(wc->byte_len, 4u);
+  EXPECT_EQ(wc2->byte_len, 4u);
 }
 
 TEST_F(SoftRdmaTest, ProtectionDomainValidatesSubRegions) {

@@ -99,7 +99,9 @@ TEST_F(TcpTransportTest, LargeFrame) {
 TEST_F(TcpTransportTest, MultipleConcurrentClients) {
   auto server = transport_->CreateServer();
   ASSERT_TRUE(server.ok());
+  std::atomic<int> accepted{0};
   ServerEndpoint::Handlers handlers;
+  handlers.on_connect = [&](ConnId) { ++accepted; };
   handlers.on_frame = [&](ConnId conn, Frame frame) {
     (*server)->SendAsync(conn, std::move(frame));
   };
@@ -132,8 +134,7 @@ TEST_F(TcpTransportTest, MultipleConcurrentClients) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ((*server)->stats().connections_accepted,
-            static_cast<uint64_t>(kClients));
+  EXPECT_EQ(accepted.load(), kClients);
   (*server)->Stop();
 }
 
@@ -170,23 +171,6 @@ TEST_F(TcpTransportTest, ReceiveAfterServerStopFails) {
   auto frame = (*conn)->Receive();
   EXPECT_FALSE(frame.ok());
   EXPECT_FALSE((*conn)->alive());
-}
-
-TEST_F(TcpTransportTest, ByteCountersAdvance) {
-  auto server = transport_->CreateServer();
-  ASSERT_TRUE(server.ok());
-  ServerEndpoint::Handlers handlers;
-  handlers.on_frame = [&](ConnId conn, Frame frame) {
-    (*server)->SendAsync(conn, std::move(frame));
-  };
-  ASSERT_TRUE((*server)->Start(handlers).ok());
-  auto conn = transport_->Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE((*conn)->Send(MakeFrame(1, "12345")).ok());
-  ASSERT_TRUE((*conn)->Receive().ok());
-  EXPECT_EQ((*conn)->bytes_sent(), 5u + 5u);  // header + payload
-  EXPECT_EQ((*conn)->bytes_received(), 10u);
-  (*server)->Stop();
 }
 
 TEST_F(TcpTransportTest, HalfClosedPeerStillDrainsReplies) {
