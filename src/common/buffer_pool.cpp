@@ -1,5 +1,7 @@
 #include "common/buffer_pool.h"
 
+#include <unistd.h>
+
 #include <cassert>
 #include <chrono>
 
@@ -48,9 +50,16 @@ void PooledBuffer::Release() {
 
 std::optional<size_t> BufferPool::ArenaBytes(size_t buffer_size,
                                              size_t count) {
+  // An arena beyond physical memory cannot be backed: new[] would throw
+  // std::bad_alloc out of the owner's constructor (or the kernel would
+  // kill the process later), so it is rejected like a wrapping product.
+  static const uint64_t kPhysicalBytes =
+      static_cast<uint64_t>(sysconf(_SC_PHYS_PAGES)) *
+      static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
   size_t bytes = 0;
   if (buffer_size == 0 || count == 0 ||
-      __builtin_mul_overflow(buffer_size, count, &bytes)) {
+      __builtin_mul_overflow(buffer_size, count, &bytes) ||
+      bytes > kPhysicalBytes) {
     return std::nullopt;
   }
   return bytes;

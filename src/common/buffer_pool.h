@@ -65,7 +65,8 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// The arena a pool of this shape needs, or nothing when either factor
-  /// is zero or their product does not fit in size_t.
+  /// is zero, their product does not fit in size_t, or it exceeds the
+  /// host's physical memory.
   static std::optional<size_t> ArenaBytes(size_t buffer_size, size_t count);
 
   /// Blocks until a buffer is available. Returns an invalid buffer if the

@@ -183,12 +183,14 @@ Status MofSupplier::Start() {
                            std::to_string(kDataHeaderSize) +
                            "-byte chunk header");
   }
-  // A zero count would park every disk thread in Acquire forever, and a
-  // product that wraps size_t would size the DataCache arena short.
+  // A zero count would park every disk thread in Acquire forever, a
+  // product that wraps size_t would size the DataCache arena short, and
+  // one beyond physical memory cannot be allocated; the constructor built
+  // an empty pool for all three.
   if (!BufferPool::ArenaBytes(options_.buffer_size, options_.buffer_count)) {
     return InvalidArgument(
         "MofSupplier needs buffer_count >= 1 and buffer_size * buffer_count "
-        "within size_t");
+        "within size_t and physical memory");
   }
   auto endpoint = options_.transport->CreateServer();
   JBS_RETURN_IF_ERROR(endpoint.status());

@@ -1,7 +1,7 @@
 #include "jbs/net_merger.h"
 
 #include <algorithm>
-#include <thread>
+#include <optional>
 
 #include "common/bytes.h"
 #include "common/compress.h"
@@ -16,41 +16,24 @@ namespace {
 /// closed past this (the paper's cap of 512).
 constexpr size_t kConnectionCacheCapacity = 512;
 
-/// Maps one failed fetch attempt to the health-tracker taxonomy. A dial
-/// that never connected is a connect fault regardless of status code; past
-/// the dial, the status itself decides.
-NodeHealthTracker::Failure ClassifyFailure(const Status& status, bool dialed) {
-  if (!dialed) return NodeHealthTracker::Failure::kConnect;
-  if (status.code() == StatusCode::kDeadlineExceeded) {
-    return NodeHealthTracker::Failure::kTimeout;
-  }
-  if (status.message().rfind("chunk CRC mismatch", 0) == 0 ||
-      status.message().rfind("chunk decompress failed", 0) == 0) {
-    // A payload that passed its CRC but won't decompress means the
-    // *supplier* shipped damaged bytes (bad memo, bit rot before the CRC
-    // was taken) — same taxonomy as corruption on the wire.
-    return NodeHealthTracker::Failure::kCorrupt;
-  }
-  return NodeHealthTracker::Failure::kOther;
-}
-
-/// Permanent server verdicts (the supplier answered kFetchError): retrying
-/// the same node cannot heal these, but a replica might hold the segment.
-bool IsPermanentFetchError(const Status& status) {
-  return status.code() == StatusCode::kIoError &&
-         status.message().rfind("fetch error:", 0) == 0;
-}
-
-/// Overload pushback (the supplier answered kErrorBusy): the request was
-/// shed under admission control, not failed. Pushback never counts against
-/// node health, never classifies as corruption, and never promotes a
-/// failover replica — it retries the same node on its own budget.
-bool IsPushback(const Status& status) {
-  return status.code() == StatusCode::kResourceExhausted &&
-         status.message().rfind("server busy", 0) == 0;
-}
-
 }  // namespace
+
+/// One attempt's outcome. `fault` says how a failure settles; it is set
+/// where the error is created.
+struct NetMerger::Attempt {
+  enum class Fault {
+    kTransient,  // the conversation failed: retry after backoff
+    kConnect,    // the dial failed: retry, charged as a connect fault
+    kCorrupt,    // bad chunk CRC or payload: retry, charged as corruption
+    kPermanent,  // the supplier answered kFetchError: fail over, no retry
+    kBusy,       // the supplier shed the request: pushback, not a failure
+    kFinal,      // stopping, or the fetch deadline ran out
+  };
+
+  StatusOr<FetchedSegment> result = Unavailable("not fetched");
+  Fault fault = Fault::kTransient;
+  uint32_t retry_after_ms = 0;  // kBusy: the supplier's hint
+};
 
 NetMerger::NetMerger(Options options)
     : options_(options),
@@ -143,22 +126,15 @@ void NetMerger::Stop() {
     MutexLock lock(sched_mu_);
     if (stopping_) return;
     stopping_ = true;
+    cancelled_.store(true);
     orphans.swap(node_queues_);
   }
-  cancelled_.store(true);
   work_cv_.NotifyAll();
-  // Wake data threads blocked in Send/Receive on a cached connection and
-  // make any racing dial fail fast.
+  // Wake data threads blocked in Send/Receive and make any racing dial
+  // fail fast.
   connections_.Shutdown();
-  {
-    // Ablation-mode per-fetch connections live outside the manager; close
-    // them too so those threads unblock.
-    MutexLock lock(inflight_mu_);
-    for (net::Connection* conn : inflight_conns_) conn->Close();
-  }
-  // Fail every queued (never claimed) task so its FetchAndMerge caller
-  // unblocks; in-flight tasks are failed by their own data thread once
-  // its connection dies.
+  // Fail every queued task, waiting retries included, so its caller
+  // unblocks; in-flight tasks settle once their connection dies.
   for (auto& [node, queue] : orphans) {
     for (FetchTask& task : queue) {
       CompleteTask(task, Unavailable("NetMerger stopped"));
@@ -251,17 +227,11 @@ StatusOr<std::unique_ptr<mr::RecordStream>> NetMerger::FetchAndMerge(
       // penalty sentence. If every copy is boxed, queue on the primary and
       // let the scheduler wait out the earliest release.
       if (health_->penalized(NodeKey(task.source))) {
-        for (mr::MofLocation& alternate : task.alternates) {
-          if (!health_->penalized(NodeKey(alternate))) {
-            std::swap(task.source, alternate);
-            break;
-          }
+        if (const auto healthy = HealthyAlternate(task)) {
+          std::swap(task.source, task.alternates[*healthy]);
         }
       }
-      const std::string node = NodeKey(task.source);
-      auto& queue = node_queues_[node];
-      queue.push_back(std::move(task));
-      SetQueueDepth(node, queue.size());
+      PushLocked(std::move(task));
     }
   }
   work_cv_.NotifyAll();
@@ -296,58 +266,51 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
     // replica should not wait out another node's sentence. Bounded by the
     // per-task reroute budget so two half-dead replicas can't ping-pong a
     // task forever.
-    {
-      std::vector<FetchTask> moved;
-      for (auto it = node_queues_.begin(); it != node_queues_.end();) {
-        if (it->second.empty() || !health_->penalized(it->first)) {
-          ++it;
+    std::vector<FetchTask> moved;
+    for (auto it = node_queues_.begin(); it != node_queues_.end();) {
+      auto& [key, queue] = *it;
+      if (!health_->penalized(key)) {
+        ++it;
+        continue;
+      }
+      for (auto qit = queue.begin(); qit != queue.end();) {
+        std::optional<size_t> healthy;
+        if (!qit->retrying() && qit->reroutes < options_.max_failovers) {
+          healthy = HealthyAlternate(*qit);
+        }
+        if (!healthy) {
+          ++qit;
           continue;
         }
-        auto& queue = it->second;
-        for (auto qit = queue.begin(); qit != queue.end();) {
-          auto alternate = std::find_if(
-              qit->alternates.begin(), qit->alternates.end(),
-              [&](const mr::MofLocation& loc) {
-                return !health_->penalized(NodeKey(loc));
-              });
-          if (alternate == qit->alternates.end() ||
-              qit->reroutes >= options_.max_failovers) {
-            ++qit;
-            continue;
-          }
-          const size_t alt_index =
-              static_cast<size_t>(alternate - qit->alternates.begin());
-          FetchTask rerouted = std::move(*qit);
-          qit = queue.erase(qit);
-          std::swap(rerouted.source, rerouted.alternates[alt_index]);
-          moved.push_back(std::move(rerouted));
-        }
-        SetQueueDepth(it->first, queue.size());
-        if (queue.empty()) {
-          it = node_queues_.erase(it);
-        } else {
-          ++it;
-        }
+        FailOver(*qit, *healthy);
+        moved.push_back(std::move(*qit));
+        qit = queue.erase(qit);
       }
-      for (FetchTask& rerouted : moved) {
-        ++rerouted.reroutes;
-        failovers_c_->Increment();
-        trace_->Record(rerouted.fetch_id, TraceEvent::kFailover,
-                       static_cast<int64_t>(rerouted.alternates.size()));
-        const std::string dest = NodeKey(rerouted.source);
-        auto& queue = node_queues_[dest];
-        queue.push_back(std::move(rerouted));
-        SetQueueDepth(dest, queue.size());
-      }
+      SetQueueDepth(key, queue.size());
+      it = queue.empty() ? node_queues_.erase(it) : std::next(it);
+    }
+    for (FetchTask& rerouted : moved) {
+      PushLocked(std::move(rerouted));
     }
     // Candidate nodes: nonempty queue, not currently serviced by another
-    // data thread (one in-flight conversation per connection), not in the
-    // penalty box.
+    // data thread (one in-flight conversation per connection), front task
+    // past its delay, and not in the penalty box unless that task is
+    // between retries. `wake` is the earliest moment a skipped node opens.
+    const Clock::time_point now = Clock::now();
+    std::optional<Clock::time_point> wake;
+    const auto wake_by = [&](Clock::time_point t) {
+      if (!wake || t < *wake) wake = t;
+    };
     bool skipped_penalized = false;
     auto claimable = [&](const std::string& key,
                          const std::deque<FetchTask>& queue) {
       if (queue.empty() || busy_nodes_.contains(key)) return false;
-      if (health_->penalized(key)) {
+      const FetchTask& front = queue.front();
+      if (front.not_before > now) {
+        wake_by(front.not_before);
+        return false;
+      }
+      if (!front.retrying() && health_->penalized(key)) {
         skipped_penalized = true;
         return false;
       }
@@ -386,16 +349,15 @@ bool NetMerger::NextTask(std::string* node, FetchTask* task) {
       }
     }
     if (skipped_penalized) {
-      // Only penalized work is pending: sleep until the box next opens
-      // (or new work / shutdown wakes us) instead of forever.
-      if (auto release = health_->earliest_release()) {
-        (void)work_cv_.WaitUntil(lock, *release);
-        continue;
-      }
-      // The sentence expired between the scan and here; rescan.
-      continue;
+      // Sleep no longer than until the box next opens. A sentence that
+      // expired since the scan rescans at once.
+      wake_by(health_->earliest_release().value_or(now));
     }
-    work_cv_.Wait(lock);
+    if (wake) {
+      (void)work_cv_.WaitUntil(lock, *wake);
+    } else {
+      work_cv_.Wait(lock);
+    }
   }
 }
 
@@ -408,10 +370,10 @@ void NetMerger::WorkerLoop() {
       node_switches_c_->Increment();
     }
     last_node = node;
-    ExecuteTask(node, std::move(task));
-    // Drop the shared context before blocking in NextTask again, so the
-    // FetchAndMerge caller is the last owner once all segments land.
-    task = FetchTask{};
+    // Settle consumes the task, dropping the shared context before NextTask
+    // blocks, so the FetchAndMerge caller is the last owner.
+    Attempt attempt = RunAttempt(task);
+    Settle(node, std::move(task), std::move(attempt));
     {
       MutexLock lock(sched_mu_);
       busy_nodes_.erase(node);
@@ -420,25 +382,16 @@ void NetMerger::WorkerLoop() {
   }
 }
 
-int64_t NetMerger::NextBackoffMs(int attempt,
-                                 const net::Deadline& fetch_deadline) {
-  int64_t backoff;
-  {
-    // Shared capped+jittered helper (common/rng.h): the shift is bounded
-    // (`20 << 40` is UB on int and a multi-day sleep besides) and the
-    // jitter decorrelates data threads hammering one recovering node.
-    MutexLock lock(rng_mu_);
-    backoff = CappedJitteredBackoffMs(options_.retry_backoff_ms, attempt,
-                                      options_.max_retry_backoff_ms, rng_);
-  }
-  if (!fetch_deadline.infinite()) {
-    backoff = std::min(backoff, fetch_deadline.remaining_ms());
-  }
-  return backoff;
+int64_t NetMerger::NextBackoffMs(int attempt) {
+  // Shared capped+jittered helper (common/rng.h): the shift is bounded
+  // (`20 << 40` is UB on int and a multi-day delay besides) and the
+  // jitter decorrelates retries hammering one recovering node.
+  MutexLock lock(rng_mu_);
+  return CappedJitteredBackoffMs(options_.retry_backoff_ms, attempt,
+                                 options_.max_retry_backoff_ms, rng_);
 }
 
-int64_t NetMerger::PushbackDelayMs(uint32_t hint_ms,
-                                   const net::Deadline& fetch_deadline) {
+int64_t NetMerger::PushbackDelayMs(uint32_t hint_ms) {
   // Honor the server's hint but desynchronize: every shed merger got
   // roughly the same hint, and returning in lockstep would re-create the
   // queue spike that caused the shed. Jitter adds up to +50%.
@@ -451,20 +404,7 @@ int64_t NetMerger::PushbackDelayMs(uint32_t hint_ms,
   if (options_.max_retry_backoff_ms > 0) {
     delay = std::min<int64_t>(delay, options_.max_retry_backoff_ms);
   }
-  if (!fetch_deadline.infinite()) {
-    delay = std::min(delay, fetch_deadline.remaining_ms());
-  }
-  return std::max<int64_t>(delay, 0);
-}
-
-bool NetMerger::SleepInterruptible(int64_t ms) {
-  MutexLock lock(sched_mu_);
-  const auto wake =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  while (!stopping_ &&
-         work_cv_.WaitUntil(lock, wake) != std::cv_status::timeout) {
-  }
-  return !stopping_;
+  return delay;
 }
 
 Status NetMerger::SendHello(net::Connection& conn,
@@ -475,206 +415,168 @@ Status NetMerger::SendHello(net::Connection& conn,
   return conn.Send(EncodeHello(hello), deadline);
 }
 
-void NetMerger::ExecuteTask(const std::string& node, FetchTask task) {
-  // Transient fetch failures (dropped connection, refused dial, blown
-  // chunk deadline, corrupt chunk) are retried with capped jittered
-  // backoff, re-dialing each time — a fetch failure must not fail the
-  // ReduceTask the way a map-side fault would. One deadline budgets the
-  // whole fetch — retries and replica failovers included — so a silent
-  // peer costs bounded time, not attempts × timeout × replicas.
+NetMerger::Attempt NetMerger::RunAttempt(FetchTask& task) {
+  // One deadline budgets the whole fetch — retries and replica failovers
+  // included — so a silent peer costs bounded time, not attempts x
+  // timeout x replicas.
   if (!task.deadline_armed) {
     task.deadline = net::Deadline::AfterMs(options_.fetch_deadline_ms);
     task.deadline_armed = true;
   }
-  const net::Deadline fetch_deadline = task.deadline;
-  const auto fetch_start = std::chrono::steady_clock::now();
-  int attempts_used = 0;
-  int attempt = 0;            // transient-failure attempts consumed
-  int pushbacks_honored = 0;  // kErrorBusy budget consumed — separate ledger
-  bool dialed_ok = false;
-  StatusOr<FetchedSegment> result = Unavailable("not fetched");
-  uint32_t busy_hint_ms = 0;
-  for (;;) {
-    attempts_used = attempt + 1;
-    dialed_ok = false;
-    busy_hint_ms = 0;
-    if (cancelled_.load()) {
-      result = Unavailable("NetMerger stopped");
-      break;
-    }
-    if (fetch_deadline.expired()) {
-      deadline_expiries_c_->Increment();
-      result = DeadlineExceeded("fetch deadline exhausted for map " +
-                                std::to_string(task.source.map_task));
-      break;
-    }
-    const net::Deadline dial_deadline = net::Deadline::Sooner(
-        fetch_deadline, net::Deadline::AfterMs(options_.connect_timeout_ms));
-    if (options_.consolidate) {
-      bool dialed = false;
-      auto conn = connections_.GetOrConnect(
-          task.source.host, task.source.port, dial_deadline, &dialed);
-      // The manager is the sole authority on whether this lookup opened a
-      // connection; counting here (not from the manager's miss counter)
-      // keeps one increment per dial across both modes.
-      if (dialed) connections_opened_c_->Increment();
-      if (conn.ok()) {
-        dialed_ok = true;
-        trace_->Record(task.fetch_id, TraceEvent::kDialed, attempt + 1);
-        // The capability hello goes out once per connection, not per
-        // fetch — a cache hit reuses a socket the server already knows.
-        Status hello_st = dialed ? SendHello(**conn, dial_deadline)
-                                 : Status::Ok();
-        if (hello_st.ok()) {
-          result = FetchSegment(**conn, task, fetch_deadline, &busy_hint_ms);
-        } else {
-          result = hello_st;
-        }
-        if (!result.ok()) {
-          connections_.Invalidate(task.source.host, task.source.port);
-        }
-      } else {
-        result = conn.status();
-      }
-    } else {
-      // Ablation / Hadoop-style: a fresh connection per fetch.
-      auto conn = options_.transport->Connect(
-          task.source.host, task.source.port, dial_deadline);
-      if (conn.ok()) {
-        net::Connection* raw = conn->get();
-        bool raced_stop = false;
-        {
-          MutexLock lock(inflight_mu_);
-          if (cancelled_.load()) {
-            raced_stop = true;
-          } else {
-            inflight_conns_.insert(raw);
-          }
-        }
-        if (raced_stop) {
-          (*conn)->Close();
-          result = Unavailable("NetMerger stopped");
-          break;
-        }
-        connections_opened_c_->Increment();
-        dialed_ok = true;
-        trace_->Record(task.fetch_id, TraceEvent::kDialed, attempt + 1);
-        Status hello_st = SendHello(**conn, dial_deadline);
-        result = hello_st.ok()
-                     ? FetchSegment(**conn, task, fetch_deadline,
-                                    &busy_hint_ms)
-                     : StatusOr<FetchedSegment>(hello_st);
-        {
-          MutexLock lock(inflight_mu_);
-          inflight_conns_.erase(raw);
-        }
-        (*conn)->Close();
-      } else {
-        result = conn.status();
-      }
-    }
-    if (result.ok()) break;
-    if (cancelled_.load()) break;
-    if (IsPushback(result.status())) {
-      // Server pushback (DESIGN.md §16): the supplier shed this request
-      // under admission control. No attempt is consumed and no health
-      // bookkeeping runs — the node is healthy, just saturated. Honor the
-      // retry-after hint (jittered) against the pushback budget.
-      pushback_c_->Increment();
-      if (pushbacks_honored >= options_.pushback_retry_budget) break;
-      ++pushbacks_honored;
-      trace_->Record(task.fetch_id, TraceEvent::kRetry, attempt);
-      if (!SleepInterruptible(PushbackDelayMs(busy_hint_ms, fetch_deadline))) {
-        result = Unavailable("NetMerger stopped");
-        break;
-      }
-      continue;
-    }
-    // Permanent errors (the server answered with kFetchError) don't heal
-    // with retries of the same node — but a replica might hold the MOF, so
-    // they still fail over below.
-    if (IsPermanentFetchError(result.status())) break;
-    // Health bookkeeping: every transient attempt failure counts against
-    // the node. A fresh penalty sentence also evicts the cached connection
-    // so the first fetch after release re-dials instead of inheriting a
-    // wedged socket.
-    if (health_->RecordFailure(node,
-                               ClassifyFailure(result.status(), dialed_ok))) {
-      connections_.Invalidate(task.source.host, task.source.port);
-    }
-    ++attempt;
-    if (attempt >= options_.max_fetch_attempts) break;
-    fetch_retries_c_->Increment();
-    trace_->Record(task.fetch_id, TraceEvent::kRetry, attempt);
-    // Interruptible sleep: Stop() must not wait out a backoff.
-    if (!SleepInterruptible(NextBackoffMs(attempt, fetch_deadline))) {
-      result = Unavailable("NetMerger stopped");
-      break;
-    }
+  if (!task.retrying()) task.claimed = Clock::now();
+  if (cancelled_.load()) {
+    return {Unavailable("NetMerger stopped"), Attempt::Fault::kFinal};
   }
-  if (!cancelled_.load() &&
-      (result.ok() || IsPermanentFetchError(result.status()) ||
-       IsPushback(result.status()))) {
-    // Either way the node is alive and speaking protocol: streak cleared.
-    health_->RecordSuccess(node);
+  if (task.deadline.expired()) {
+    deadline_expiries_c_->Increment();
+    return {DeadlineExceeded("fetch deadline exhausted for map " +
+                             std::to_string(task.source.map_task)),
+            Attempt::Fault::kFinal};
   }
-  // Pushback never promotes a replica: every copy of a hot partition is
-  // likely saturated too, and rerouting just spreads the overload.
-  if (!result.ok() && !IsPushback(result.status()) &&
-      TryFailover(task, result.status())) {
-    return;
+  const net::Deadline dial_deadline = net::Deadline::Sooner(
+      task.deadline, net::Deadline::AfterMs(options_.connect_timeout_ms));
+  bool dialed = false;
+  auto conn = connections_.GetOrConnect(task.source.host, task.source.port,
+                                        dial_deadline, &dialed);
+  // The manager is the sole authority on whether this lookup opened a
+  // connection, so each dial is counted once.
+  if (dialed) connections_opened_c_->Increment();
+  if (!conn.ok()) return {conn.status(), Attempt::Fault::kConnect};
+  trace_->Record(task.fetch_id, TraceEvent::kDialed, task.attempts + 1);
+  // The capability hello goes out once per connection, not per fetch — a
+  // cache hit reuses a socket the server already knows.
+  const Status hello = dialed ? SendHello(**conn, dial_deadline)
+                              : Status::Ok();
+  Attempt attempt;
+  attempt.result = hello.ok()
+                       ? FetchSegment(**conn, task, task.deadline, &attempt)
+                       : StatusOr<FetchedSegment>(hello);
+  // A failed connection is never reused. Without consolidation (the
+  // Hadoop-style ablation) none is: each fetch dials its own.
+  if (!attempt.result.ok() || !options_.consolidate) {
+    connections_.Invalidate(task.source.host, task.source.port);
   }
-  const double latency_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - fetch_start)
-                                .count();
-  fetch_latency_ms_h_->Observe(latency_ms);
-  fetch_attempts_h_->Observe(static_cast<double>(attempts_used));
-  CompleteTask(task, std::move(result));
+  return attempt;
 }
 
-bool NetMerger::TryFailover(FetchTask& task, const Status& why) {
-  if (task.alternates.empty()) return false;
-  if (task.reroutes >= options_.max_failovers) return false;
-  if (cancelled_.load()) return false;
-  if (task.deadline_armed && task.deadline.expired()) return false;
-  // Prefer the first alternate not serving a sentence; failing that, take
-  // the first one anyway — its box may open before this node heals, and
-  // the scheduler knows how to wait out a sentence.
-  size_t pick = 0;
-  for (size_t i = 0; i < task.alternates.size(); ++i) {
-    if (!health_->penalized(NodeKey(task.alternates[i]))) {
-      pick = i;
-      break;
+void NetMerger::Settle(const std::string& node, FetchTask task,
+                       Attempt attempt) {
+  using Fault = Attempt::Fault;
+  const Fault fault = attempt.fault;
+  const bool failed = !attempt.result.ok();
+  const bool cancelled = cancelled_.load();
+  // Puts the task back at the front of its node's queue, not claimable
+  // for `delay_ms`, clamped so the wait never overruns the fetch deadline.
+  const auto retry_after = [&](int64_t delay_ms) {
+    delay_ms = std::min(delay_ms, task.deadline.remaining_ms());
+    task.not_before = Clock::now() + std::chrono::milliseconds(delay_ms);
+    Requeue(std::move(task));
+  };
+  const bool busy = failed && fault == Fault::kBusy && !cancelled;
+  if (busy) pushback_c_->Increment();
+  if (busy && task.pushbacks < options_.pushback_retry_budget) {
+    // Server pushback (DESIGN.md §16): the supplier shed this request
+    // under admission control. No attempt is spent and no health
+    // bookkeeping runs — the node is healthy, just saturated. The task
+    // waits out the retry-after hint, against the pushback budget.
+    ++task.pushbacks;
+    trace_->Record(task.fetch_id, TraceEvent::kRetry, task.attempts);
+    return retry_after(PushbackDelayMs(attempt.retry_after_ms));
+  }
+  ++task.attempts;
+  if (!cancelled && (!failed || fault == Fault::kPermanent || busy)) {
+    // The node is alive and speaking protocol: streak cleared.
+    health_->RecordSuccess(node);
+  }
+  // A success, a stop, an expired deadline and a spent pushback budget
+  // complete the task. Pushback never promotes a replica: every copy of a
+  // hot partition is likely saturated too, and rerouting just spreads the
+  // overload.
+  const bool settled = !failed || cancelled || fault == Fault::kFinal || busy;
+  if (!settled && fault != Fault::kPermanent) {
+    // Every transient failure counts against the node. A fresh penalty
+    // sentence also evicts the cached connection so the first fetch after
+    // release re-dials instead of inheriting a wedged socket.
+    using Failure = NodeHealthTracker::Failure;
+    const Failure kind =
+        fault == Fault::kConnect   ? Failure::kConnect
+        : fault == Fault::kCorrupt ? Failure::kCorrupt
+        : attempt.result.status().code() == StatusCode::kDeadlineExceeded
+            ? Failure::kTimeout
+            : Failure::kOther;
+    if (health_->RecordFailure(node, kind)) {
+      connections_.Invalidate(task.source.host, task.source.port);
+    }
+    if (task.attempts < options_.max_fetch_attempts) {
+      fetch_retries_c_->Increment();
+      trace_->Record(task.fetch_id, TraceEvent::kRetry, task.attempts);
+      return retry_after(NextBackoffMs(task.attempts));
     }
   }
-  std::swap(task.source, task.alternates[pick]);
+  // Out of attempts on this node, or a permanent verdict (retrying the
+  // node cannot heal it): fail over to a replica — preferably one not
+  // serving a sentence; failing that, the first one anyway, since its box
+  // may open before this node heals.
+  if (!settled && !task.alternates.empty() &&
+      task.reroutes < options_.max_failovers && !task.deadline.expired()) {
+    JBS_DEBUG << "failover: map " << task.source.map_task << " from " << node
+              << " after: " << attempt.result.status().message();
+    FailOver(task, HealthyAlternate(task).value_or(0));
+    Requeue(std::move(task));
+    return;
+  }
+  fetch_latency_ms_h_->Observe(std::chrono::duration<double, std::milli>(
+                                   Clock::now() - task.claimed)
+                                   .count());
+  fetch_attempts_h_->Observe(static_cast<double>(task.attempts));
+  CompleteTask(task, std::move(attempt.result));
+}
+
+std::optional<size_t> NetMerger::HealthyAlternate(const FetchTask& task) {
+  for (size_t i = 0; i < task.alternates.size(); ++i) {
+    if (!health_->penalized(NodeKey(task.alternates[i]))) return i;
+  }
+  return std::nullopt;
+}
+
+void NetMerger::FailOver(FetchTask& task, size_t index) {
+  std::swap(task.source, task.alternates[index]);
   ++task.reroutes;
-  const std::string dest = NodeKey(task.source);
+  task.attempts = 0;
+  task.pushbacks = 0;
+  task.not_before = {};
+  failovers_c_->Increment();
+  trace_->Record(task.fetch_id, TraceEvent::kFailover,
+                 static_cast<int64_t>(task.alternates.size()));
+}
+
+void NetMerger::PushLocked(FetchTask task) {
+  const std::string node = NodeKey(task.source);
+  auto& queue = node_queues_[node];
+  if (task.retrying()) {
+    queue.push_front(std::move(task));
+  } else {
+    queue.push_back(std::move(task));
+  }
+  SetQueueDepth(node, queue.size());
+}
+
+void NetMerger::Requeue(FetchTask task) {
   {
     MutexLock lock(sched_mu_);
-    if (stopping_) {
-      // Undo so the caller completes the task against the node that
-      // actually produced `why`.
-      --task.reroutes;
-      std::swap(task.source, task.alternates[pick]);
-      return false;
+    if (!stopping_) {
+      PushLocked(std::move(task));
+      return;
     }
-    failovers_c_->Increment();
-    trace_->Record(task.fetch_id, TraceEvent::kFailover,
-                   static_cast<int64_t>(task.alternates.size()));
-    JBS_DEBUG << "failover: map " << task.source.map_task << " -> " << dest
-              << " after: " << why.message();
-    auto& queue = node_queues_[dest];
-    queue.push_back(std::move(task));
-    SetQueueDepth(dest, queue.size());
   }
-  work_cv_.NotifyAll();
-  return true;
+  // Stop() already drained the queues; cancelled_ is set, so this is not
+  // counted as a fetch error.
+  CompleteTask(task, Unavailable("NetMerger stopped"));
 }
 
 StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     net::Connection& conn, const FetchTask& task,
-    const net::Deadline& deadline, uint32_t* busy_retry_after_ms) {
+    const net::Deadline& deadline, Attempt* attempt) {
   FetchedSegment fetched;
   std::vector<uint8_t>& segment = fetched.bytes;
   // Per-chunk counters accumulate locally and fold into the registry once
@@ -707,6 +609,7 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     JBS_RETURN_IF_ERROR(reply.status());
     if (reply->type == kFetchError) {
       auto error = DecodeError(*reply);
+      attempt->fault = Attempt::Fault::kPermanent;
       return IoError("fetch error: " +
                      (error ? error->message : "undecodable"));
     }
@@ -715,9 +618,8 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
       // the CRC verifier and masquerade as chunk corruption.
       auto busy = DecodeBusy(*reply);
       if (!busy) return IoError("undecodable busy frame");
-      if (busy_retry_after_ms != nullptr) {
-        *busy_retry_after_ms = busy->retry_after_ms;
-      }
+      attempt->fault = Attempt::Fault::kBusy;
+      attempt->retry_after_ms = busy->retry_after_ms;
       return ResourceExhausted(
           "server busy: map " + std::to_string(task.source.map_task) +
           " shed, retry after " + std::to_string(busy->retry_after_ms) +
@@ -736,6 +638,7 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
         chunks_corrupt_c_->Increment();
         trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
                        static_cast<int64_t>(header->offset));
+        attempt->fault = Attempt::Fault::kCorrupt;
         return IoError("chunk CRC mismatch for map " +
                        std::to_string(task.source.map_task) + " at offset " +
                        std::to_string(header->offset));
@@ -756,9 +659,12 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     if ((header->flags & kChunkCompressed) != 0) {
       auto decoded = Decompress(data);
       if (!decoded.ok()) {
+        // A payload that passed its CRC but won't decompress means the
+        // supplier shipped damaged bytes — charged like wire corruption.
         chunks_corrupt_c_->Increment();
         trace_->Record(task.fetch_id, TraceEvent::kCorrupt,
                        static_cast<int64_t>(header->offset));
+        attempt->fault = Attempt::Fault::kCorrupt;
         return IoError("chunk decompress failed for map " +
                        std::to_string(task.source.map_task) + " at offset " +
                        std::to_string(header->offset) + ": " +
@@ -804,22 +710,17 @@ StatusOr<NetMerger::FetchedSegment> NetMerger::FetchSegment(
     const int window = std::max(1, options_.fetch_window);
     uint64_t next_send = offset;
     int in_flight = 0;
-    while (in_flight < window && next_send < total) {
-      JBS_RETURN_IF_ERROR(send_request(next_send));
-      next_send += stride;
-      ++in_flight;
-    }
     while (offset < total) {
-      auto chunk = receive_chunk(offset, &total);
-      JBS_RETURN_IF_ERROR(chunk.status());
-      if (*chunk == 0) return Internal("server made no progress");
-      offset += *chunk;
-      --in_flight;
       while (in_flight < window && next_send < total) {
         JBS_RETURN_IF_ERROR(send_request(next_send));
         next_send += stride;
         ++in_flight;
       }
+      auto chunk = receive_chunk(offset, &total);
+      JBS_RETURN_IF_ERROR(chunk.status());
+      if (*chunk == 0) return Internal("server made no progress");
+      offset += *chunk;
+      --in_flight;
     }
   }
   chunks_c_->Increment(local_chunks);

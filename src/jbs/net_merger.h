@@ -7,6 +7,10 @@
 // segments stay in memory and feed the network-levitated merge — no
 // reduce-side spill.
 //
+// A data thread runs one attempt per claim. A failed attempt's task goes
+// back to the front of its node's queue until its backoff or pushback
+// delay passes, or to a replica's queue; the thread serves other nodes.
+//
 // Every wire operation is deadline-bounded: a fetch gets one time budget
 // covering all retry attempts, each dial and each chunk round trip may be
 // bounded tighter, and Stop() cancels everything in flight — queued and
@@ -15,9 +19,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -100,7 +106,7 @@ class NetMerger final : public mr::ShuffleClient {
   /// Cancels all fetch work and joins the data threads. Queued and
   /// in-flight fetches fail with kUnavailable, so every FetchAndMerge
   /// caller — including ones blocked on a silent peer — returns promptly.
-  void Stop() override EXCLUDES(sched_mu_, inflight_mu_);
+  void Stop() override EXCLUDES(sched_mu_);
   Stats stats() const override;
 
   /// Health-tracker view of one remote node ("host:port"), for tests and
@@ -137,6 +143,10 @@ class NetMerger final : public mr::ShuffleClient {
     std::map<int, FetchedSegment> segments GUARDED_BY(mu);  // map_task -> segment
   };
 
+  using Clock = std::chrono::steady_clock;
+
+  /// One fetch and its retry state. A data thread claims it, runs one
+  /// attempt, and Settle() completes it or puts it back in a queue.
   struct FetchTask {
     mr::MofLocation source;
     int partition = 0;
@@ -144,15 +154,28 @@ class NetMerger final : public mr::ShuffleClient {
     std::shared_ptr<CallContext> context;
     // Replica routing: alternate locations holding the same map output
     // (duplicate sources that disagreed on host). When `source` exhausts
-    // its attempts or sits in the penalty box, the task is re-enqueued on
-    // an alternate instead of failing the reduce.
+    // its attempts or sits in the penalty box, the task moves to an
+    // alternate instead of failing the reduce.
     std::vector<mr::MofLocation> alternates;
     int reroutes = 0;  // failovers consumed (bounded by max_failovers)
+    // Ledgers for the current `source`; a failover resets them.
+    int attempts = 0;   // attempts spent; an honored pushback spends none
+    int pushbacks = 0;  // kErrorBusy replies honored
+    Clock::time_point claimed{};  // first claim on this source
+    // Not claimable before this: the backoff or pushback delay.
+    Clock::time_point not_before{};
     // One deadline budgets the whole fetch across retries AND failovers;
-    // armed by the first ExecuteTask leg so queue wait doesn't count twice.
+    // armed at the first claim so queue wait doesn't count twice.
     bool deadline_armed = false;
     net::Deadline deadline;
+
+    /// Between retries on `source`: keeps its node through the penalty
+    /// box and is never rerouted.
+    bool retrying() const { return attempts > 0 || pushbacks > 0; }
   };
+
+  /// One attempt's outcome, and how Settle() treats a failure.
+  struct Attempt;
 
   static std::string NodeKey(const mr::MofLocation& loc) {
     return loc.host + ":" + std::to_string(loc.port);
@@ -160,46 +183,45 @@ class NetMerger final : public mr::ShuffleClient {
 
   void WorkerLoop() EXCLUDES(sched_mu_);
   /// Picks the next (node, task) respecting per-node exclusivity, the
-  /// round-robin policy, and the penalty box: penalized nodes are skipped,
-  /// their queued tasks rerouted to healthy replicas when possible, and
-  /// when only penalized work remains the wait is bounded by the earliest
-  /// sentence expiry. Blocks until work exists or shutdown.
+  /// round-robin policy, each front task's `not_before`, and the penalty
+  /// box: penalized nodes are skipped, their queued tasks rerouted to
+  /// healthy replicas when possible. Blocks until work is claimable or
+  /// shutdown.
   bool NextTask(std::string* node, FetchTask* task) EXCLUDES(sched_mu_);
-  void ExecuteTask(const std::string& node, FetchTask task)
-      EXCLUDES(sched_mu_, inflight_mu_);
-  /// Re-enqueues `task` on its next replica after `source` failed with
-  /// `why`. Returns false (leaving the task untouched) when no failover is
-  /// possible — no alternates, reroute budget spent, fetch deadline blown,
-  /// or the merger is stopping — in which case the caller must complete
-  /// the task with `why`.
-  bool TryFailover(FetchTask& task, const Status& why) EXCLUDES(sched_mu_);
-  /// Runs the chunked fetch conversation; returns the segment. Each chunk
-  /// round trip is bounded by the sooner of `deadline` and the per-chunk
-  /// timeout.
+  /// Dials (or reuses) the node's connection and runs one fetch attempt.
+  Attempt RunAttempt(FetchTask& task);
+  /// Decides the attempt's outcome: completes the task, requeues it at
+  /// the front of its node's queue after a delay, or fails it over.
+  void Settle(const std::string& node, FetchTask task, Attempt attempt)
+      EXCLUDES(sched_mu_);
+  /// Index of the first alternate not in the penalty box.
+  std::optional<size_t> HealthyAlternate(const FetchTask& task);
+  /// Moves `task` onto alternates[index] with fresh per-source ledgers,
+  /// counting and tracing the failover.
+  void FailOver(FetchTask& task, size_t index);
+  /// Adds `task` to its source's queue: at the front when it is between
+  /// retries there (so no other task is claimed on that node first), else
+  /// at the back.
+  void PushLocked(FetchTask task) REQUIRES(sched_mu_);
+  /// PushLocked, or completes the task with kUnavailable when stopping.
+  void Requeue(FetchTask task) EXCLUDES(sched_mu_);
   /// Sends the protocol-v2 capability hello on a freshly dialed
   /// connection (one-way; the server never replies). A send failure is a
-  /// dial-grade fault — the socket is already sick — surfaced to the
-  /// retry loop like a failed Connect.
+  /// transient fault: the socket is already sick.
   Status SendHello(net::Connection& conn, const net::Deadline& deadline);
-  /// `busy_retry_after_ms` (may be null) receives the server's retry-after
-  /// hint when the conversation ends in kErrorBusy pushback.
+  /// Runs the chunked fetch conversation; returns the segment. Each chunk
+  /// round trip is bounded by the sooner of `deadline` and the per-chunk
+  /// timeout. An error's kind (and a busy reply's hint) goes to `attempt`.
   StatusOr<FetchedSegment> FetchSegment(net::Connection& conn,
                                         const FetchTask& task,
                                         const net::Deadline& deadline,
-                                        uint32_t* busy_retry_after_ms);
+                                        Attempt* attempt);
   void CompleteTask(const FetchTask& task, StatusOr<FetchedSegment> result);
-  /// Capped, jittered exponential backoff for retry `attempt` (>= 1),
-  /// clamped so the sleep never overruns the fetch deadline.
-  int64_t NextBackoffMs(int attempt, const net::Deadline& fetch_deadline)
-      EXCLUDES(rng_mu_);
-  /// Sleep before honoring a kErrorBusy reply: the server's retry-after
-  /// hint plus up to 50% jitter (so pushed-back mergers don't return in
-  /// lockstep), capped by max_retry_backoff_ms and the fetch deadline.
-  int64_t PushbackDelayMs(uint32_t hint_ms,
-                          const net::Deadline& fetch_deadline)
-      EXCLUDES(rng_mu_);
-  /// Interruptible sleep: returns false when Stop() cut it short.
-  bool SleepInterruptible(int64_t ms) EXCLUDES(sched_mu_);
+  /// Capped, jittered exponential backoff for retry `attempt` (>= 1).
+  int64_t NextBackoffMs(int attempt) EXCLUDES(rng_mu_);
+  /// Delay before honoring a kErrorBusy reply: the server's retry-after
+  /// hint plus up to 50% jitter, capped by max_retry_backoff_ms.
+  int64_t PushbackDelayMs(uint32_t hint_ms) EXCLUDES(rng_mu_);
   /// Labels shared by all of this merger's metrics.
   MetricLabels BaseLabels() const;
   /// Publishes `depth` for the node's queue-depth gauge. Touches only the
@@ -250,13 +272,8 @@ class NetMerger final : public mr::ShuffleClient {
   // Last node serviced (round-robin pointer).
   std::string rr_last_ GUARDED_BY(sched_mu_);
   bool stopping_ GUARDED_BY(sched_mu_) = false;
+  // Set with stopping_, under sched_mu_; read without the lock.
   std::atomic<bool> cancelled_{false};
-
-  // Ablation-mode (consolidate = false) connections aren't in the
-  // connection manager, so Stop() closes them through this set to wake
-  // any data thread blocked mid-conversation.
-  Mutex inflight_mu_;
-  std::set<net::Connection*> inflight_conns_ GUARDED_BY(inflight_mu_);
 
   Mutex rng_mu_;
   Rng rng_ GUARDED_BY(rng_mu_);

@@ -6,6 +6,8 @@
 #include <optional>
 #include <set>
 
+#include "common/buffer_pool.h"
+
 namespace jbs::shuffle {
 
 namespace {
@@ -83,6 +85,11 @@ class KnobReader {
     });
   }
 
+  /// Rejects values that pass one by one but not together.
+  void Check(bool ok, const std::string& message) {
+    if (!ok && status_.ok()) status_ = InvalidArgument(message);
+  }
+
   Status Finish() {
     for (const auto& [key, value] : conf_.entries()) {
       if (key.rfind("jbs.", 0) == 0 && keys_.count(key) == 0 &&
@@ -114,6 +121,10 @@ void ReadKnobs(KnobReader& r, JbsOptions& o) {
   r.Size(conf::kTransportBufferSize, s.buffer_size,
          static_cast<int64_t>(kDataHeaderSize) + 1);
   r.Int(conf::kTransportBufferCount, s.buffer_count, 1);
+  r.Check(BufferPool::ArenaBytes(s.buffer_size, s.buffer_count).has_value(),
+          std::string(conf::kTransportBufferSize) + " x " +
+              conf::kTransportBufferCount +
+              ": the DataCache arena must fit in physical memory");
   r.Size(conf::kMaxFrameBytes, o.max_frame_bytes, 1,
          std::numeric_limits<uint32_t>::max());
   r.Bool(conf::kPipelined, s.pipelined);

@@ -84,25 +84,6 @@ void ConnectionManager::Invalidate(const std::string& host, uint16_t port) {
   }
 }
 
-size_t ConnectionManager::SweepIdle() {
-  MutexLock lock(mu_);
-  if (shutdown_ || idle_timeout_.count() == 0) return 0;
-  const size_t evicted =
-      cache_.EraseIf([this](const std::string&, Cached& cached)
-                         NO_THREAD_SAFETY_ANALYSIS {
-                           if (!IdleExpired(cached)) return false;
-                           cached.conn->Close();
-                           ++stats_.idle_evictions;
-                           return true;
-                         });
-  return evicted;
-}
-
-void ConnectionManager::CloseAll() {
-  MutexLock lock(mu_);
-  cache_.Clear();
-}
-
 void ConnectionManager::Shutdown() {
   MutexLock lock(mu_);
   shutdown_ = true;

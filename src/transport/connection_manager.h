@@ -49,18 +49,6 @@ class ConnectionManager {
   /// re-establishes it.
   void Invalidate(const std::string& host, uint16_t port) EXCLUDES(mu_);
 
-  /// Evicts every cached connection idle for longer than the configured
-  /// timeout, returning how many were closed. Lookup only idle-checks the
-  /// one key it touches, so a node that stops being fetched from would
-  /// otherwise hold its stale connection until LRU pressure; callers with
-  /// a periodic tick run this to reclaim those. Safe to race in-flight
-  /// I/O: Close() wakes blocked Send/Receive, and the serving peer fails
-  /// the connection and releases queued frame leases exactly once.
-  size_t SweepIdle() EXCLUDES(mu_);
-
-  /// Closes everything.
-  void CloseAll() EXCLUDES(mu_);
-
   /// Closes everything and fails all future GetOrConnect calls — the
   /// cancellation half of NetMerger::Stop(). Closing wakes any thread
   /// blocked in Send/Receive on a cached connection.

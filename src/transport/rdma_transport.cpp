@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/blocking_queue.h"
+#include "common/buffer_pool.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -29,6 +30,17 @@ using verbs::WorkCompletion;
 /// Registered+posted receive buffer ring for one queue pair.
 class RecvRing {
  public:
+  /// Whether a ring of this shape can be allocated (see
+  /// BufferPool::ArenaBytes); checked before a connection is set up, so an
+  /// oversized ring fails the dial or the accept instead of throwing.
+  static Status CheckShape(size_t buffer_size, size_t count) {
+    if (BufferPool::ArenaBytes(buffer_size, count)) return Status::Ok();
+    return InvalidArgument("rdma receive ring of " +
+                           std::to_string(count) + " x " +
+                           std::to_string(buffer_size) +
+                           " bytes cannot be allocated");
+  }
+
   RecvRing(ProtectionDomain* pd, size_t buffer_size, size_t count)
       : buffer_size_(buffer_size),
         arena_(new uint8_t[buffer_size * count]) {
@@ -212,6 +224,13 @@ class RdmaServerEndpoint final : public ServerEndpoint {
       auto event = channel_.WaitEvent();
       if (!event) return;
       if (event->type != CmEventType::kConnectRequest) continue;
+      const Status shape = RecvRing::CheckShape(
+          options_.buffer_size, options_.buffers_per_connection);
+      if (!shape.ok()) {
+        JBS_WARN << "rdma connect request rejected: " << shape.ToString();
+        (void)server_.Reject(event->request_id);
+        continue;
+      }
       auto qp = server_.Accept(event->request_id, &pd_, &send_cq_, &recv_cq_,
                                options_.max_message_bytes);
       if (!qp.ok()) {
@@ -349,6 +368,8 @@ class SoftRdmaTransport final : public Transport {
   StatusOr<std::unique_ptr<Connection>> Connect(
       const std::string& host, uint16_t port,
       const Deadline& deadline) override {
+    JBS_RETURN_IF_ERROR(RecvRing::CheckShape(
+        options_.buffer_size, options_.buffers_per_connection));
     auto pd = std::make_unique<ProtectionDomain>();
     auto send_cq = std::make_unique<CompletionQueue>();
     auto recv_cq = std::make_unique<CompletionQueue>();

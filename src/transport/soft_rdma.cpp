@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bytes.h"
 #include "common/logging.h"
@@ -16,8 +15,6 @@ namespace {
 constexpr uint8_t kMsgConnReq = 0xF1;
 constexpr uint8_t kMsgConnAccept = 0xF2;
 constexpr uint8_t kMsgData = 0xF3;
-constexpr uint8_t kMsgRdmaReadReq = 0xF4;   // req_id u64 | addr u64 | rkey u32 | len u32
-constexpr uint8_t kMsgRdmaReadResp = 0xF5;  // req_id u64 | status u8 | data
 
 // Handshake private data is tiny; anything bigger is a malformed (or
 // hostile) dial and fails the connection before any allocation.
@@ -79,16 +76,6 @@ bool ProtectionDomain::Owns(const MemoryRegion& mr) const {
   // The MR must sit inside the registered region.
   return mr.addr >= it->second.first &&
          mr.addr + mr.length <= it->second.first + it->second.second;
-}
-
-bool ProtectionDomain::ValidateRemoteAccess(uint32_t rkey,
-                                            const uint8_t* addr,
-                                            size_t length) const {
-  MutexLock lock(mu_);
-  auto it = regions_.find(rkey);
-  if (it == regions_.end()) return false;
-  return addr >= it->second.first &&
-         addr + length <= it->second.first + it->second.second;
 }
 
 size_t ProtectionDomain::registered_count() const {
@@ -206,88 +193,6 @@ Status QueuePair::PostSend(uint64_t wr_id, uint8_t msg_type,
   return st;
 }
 
-Status QueuePair::PostRdmaRead(uint64_t wr_id, MemoryRegion local,
-                               uint64_t remote_addr, uint32_t rkey,
-                               uint32_t length) {
-  {
-    MutexLock lock(mu_);
-    if (state_ != State::kRts) return Unavailable("QP not in RTS");
-  }
-  if (!pd_->Owns(local) || local.length < length) {
-    return InvalidArgument("local buffer invalid for RDMA READ");
-  }
-  uint64_t read_id;
-  {
-    MutexLock lock(reads_mu_);
-    read_id = next_read_id_++;
-    pending_reads_[read_id] = PendingRead{wr_id, local};
-  }
-  std::vector<uint8_t> request;
-  request.reserve(24);
-  PutU64(request, read_id);
-  PutU64(request, remote_addr);
-  PutU32(request, rkey);
-  PutU32(request, length);
-  Status st =
-      SendMessage(socket_.get(), send_mu_, kMsgRdmaReadReq, 0, request);
-  if (!st.ok()) {
-    MutexLock lock(reads_mu_);
-    pending_reads_.erase(read_id);
-  }
-  return st;
-}
-
-void QueuePair::HandleRdmaReadRequest(std::span<const uint8_t> request) {
-  // One-sided semantics: serviced entirely here on the "NIC" (receiver
-  // thread); no posted receive is consumed and no completion is raised on
-  // this side.
-  if (request.size() != 24) return;
-  const uint64_t read_id = GetU64(request.data());
-  const uint64_t remote_addr = GetU64(request.data() + 8);
-  const uint32_t rkey = GetU32(request.data() + 16);
-  const uint32_t length = GetU32(request.data() + 20);
-  const auto* addr = reinterpret_cast<const uint8_t*>(
-      static_cast<uintptr_t>(remote_addr));
-  std::vector<uint8_t> response;
-  PutU64(response, read_id);
-  if (pd_->ValidateRemoteAccess(rkey, addr, length)) {
-    response.push_back(1);  // OK
-    response.insert(response.end(), addr, addr + length);
-  } else {
-    response.push_back(0);  // remote access error
-  }
-  (void)SendMessage(socket_.get(), send_mu_, kMsgRdmaReadResp, 0, response);
-}
-
-void QueuePair::HandleRdmaReadResponse(std::span<const uint8_t> response) {
-  if (response.size() < 9) return;
-  const uint64_t read_id = GetU64(response.data());
-  PendingRead pending;
-  {
-    MutexLock lock(reads_mu_);
-    auto it = pending_reads_.find(read_id);
-    if (it == pending_reads_.end()) return;
-    pending = it->second;
-    pending_reads_.erase(it);
-  }
-  WorkCompletion wc;
-  wc.wr_id = pending.wr_id;
-  wc.opcode = WcOpcode::kRdmaRead;
-  const bool granted = response[8] == 1;
-  const size_t payload = response.size() - 9;
-  if (!granted) {
-    wc.status = WcStatus::kRemoteAccessError;
-  } else if (payload > pending.local.length) {
-    wc.status = WcStatus::kLocalLengthError;
-  } else {
-    std::memcpy(pending.local.addr, response.data() + 9, payload);
-    wc.status = WcStatus::kSuccess;
-    wc.byte_len = static_cast<uint32_t>(payload);
-  }
-  // Verbs: RDMA READ completions surface on the requester's send CQ.
-  send_cq_->Push(wc);
-}
-
 std::optional<QueuePair::PostedRecv> QueuePair::TakePostedRecv() {
   MutexLock lock(mu_);
   while (state_ == State::kRts && posted_recvs_.empty()) {
@@ -310,16 +215,6 @@ void QueuePair::ReceiverLoop() {
       // Peer-announced length beyond the cap: fail the connection rather
       // than attempt the allocation (the length prefix is untrusted).
       break;
-    }
-    if (wire_type == kMsgRdmaReadReq || wire_type == kMsgRdmaReadResp) {
-      std::vector<uint8_t> control(length);
-      if (length > 0 && !RecvAll(socket_.get(), control).ok()) break;
-      if (wire_type == kMsgRdmaReadReq) {
-        HandleRdmaReadRequest(control);
-      } else {
-        HandleRdmaReadResponse(control);
-      }
-      continue;
     }
     if (wire_type != kMsgData) break;  // protocol violation
 
@@ -364,19 +259,6 @@ void QueuePair::ReceiverLoop() {
     wc.opcode = WcOpcode::kRecv;
     wc.status = WcStatus::kFlushed;
     recv_cq_->Push(wc);
-  }
-  // Outstanding RDMA READs flush to the send CQ.
-  std::unordered_map<uint64_t, PendingRead> orphan_reads;
-  {
-    MutexLock lock(reads_mu_);
-    orphan_reads.swap(pending_reads_);
-  }
-  for (const auto& [id, pending] : orphan_reads) {
-    WorkCompletion wc;
-    wc.wr_id = pending.wr_id;
-    wc.opcode = WcOpcode::kRdmaRead;
-    wc.status = WcStatus::kFlushed;
-    send_cq_->Push(wc);
   }
 }
 

@@ -40,10 +40,6 @@ class ProtectionDomain {
  public:
   MemoryRegion Register(void* addr, size_t length) EXCLUDES(mu_);
   bool Owns(const MemoryRegion& mr) const EXCLUDES(mu_);
-  /// Validates a remote-access request: does [addr, addr+length) sit
-  /// inside the region registered under `rkey`?
-  bool ValidateRemoteAccess(uint32_t rkey, const uint8_t* addr,
-                            size_t length) const EXCLUDES(mu_);
   size_t registered_count() const EXCLUDES(mu_);
 
  private:
@@ -53,12 +49,11 @@ class ProtectionDomain {
       GUARDED_BY(mu_);
 };
 
-enum class WcOpcode { kSend, kRecv, kRdmaRead };
+enum class WcOpcode { kSend, kRecv };
 enum class WcStatus {
   kSuccess,
   kFlushed,
   kLocalLengthError,
-  kRemoteAccessError,  // RDMA READ outside the peer's registration
   kError,
 };
 
@@ -129,15 +124,6 @@ class QueuePair {
                   std::span<const uint8_t> head,
                   std::span<const uint8_t> tail);
 
-  /// One-sided RDMA READ: pulls `length` bytes from the peer's registered
-  /// memory at (remote_addr, rkey) into `local` — no receive posted and no
-  /// completion raised on the peer (its "CPU" stays out of the path, which
-  /// is the whole point of the verb). Completion (WcOpcode::kRdmaRead)
-  /// lands in the requester's send CQ, per verbs semantics. `local` must
-  /// be at least `length` bytes and registered in this side's PD.
-  Status PostRdmaRead(uint64_t wr_id, MemoryRegion local,
-                      uint64_t remote_addr, uint32_t rkey, uint32_t length);
-
   /// Tears the connection down; pending receives flush with kFlushed.
   void Disconnect();
 
@@ -157,10 +143,6 @@ class QueuePair {
   };
   /// Blocks until a recv is posted or the QP dies.
   std::optional<PostedRecv> TakePostedRecv();
-  /// Responder half of RDMA READ, run on the receiver thread.
-  void HandleRdmaReadRequest(std::span<const uint8_t> request);
-  /// Requester half: places the reply into the pending read's buffer.
-  void HandleRdmaReadResponse(std::span<const uint8_t> response);
 
   Fd socket_;
   ProtectionDomain* pd_;
@@ -177,15 +159,6 @@ class QueuePair {
   /// not interleave); guards no member, only the wire.
   Mutex send_mu_;
   std::thread receiver_;
-
-  struct PendingRead {
-    uint64_t wr_id;
-    MemoryRegion local;
-  };
-  Mutex reads_mu_;
-  std::unordered_map<uint64_t, PendingRead> pending_reads_
-      GUARDED_BY(reads_mu_);
-  uint64_t next_read_id_ GUARDED_BY(reads_mu_) = 1;
 };
 
 /// rdma_cm events (the subset Fig. 6 exercises).

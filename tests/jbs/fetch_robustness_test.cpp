@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "jbs/mof_supplier.h"
@@ -76,6 +77,51 @@ class FetchRobustnessTest : public ::testing::TestWithParam<std::string> {
     options.transport = flaky_.get();
     options.retry_backoff_ms = 1;
     return options;
+  }
+
+  /// Stop() with callers parked in a blackholed receive and more queued
+  /// behind them: every caller returns kUnavailable promptly.
+  void StopUnblocksEveryCaller(bool consolidate) {
+    auto locations = MakeSuppliers(1);
+    // Every receive hangs forever and no deadlines are configured: without
+    // cancellation, all callers would block indefinitely.
+    flaky_->BlackholeNextReceives(1000);
+    auto options = BaseOptions();
+    options.consolidate = consolidate;
+    options.data_threads = 2;
+    options.max_fetch_attempts = 2;
+    shuffle::NetMerger merger(options);
+
+    constexpr int kCallers = 4;
+    std::vector<std::future<Status>> callers;
+    callers.reserve(kCallers);
+    for (int i = 0; i < kCallers; ++i) {
+      callers.push_back(std::async(std::launch::async, [&] {
+        return merger.FetchAndMerge(0, locations).status();
+      }));
+    }
+    // Let some callers get in flight (parked in the blackhole) and the rest
+    // queue behind them on the single node.
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+
+    const auto start = Clock::now();
+    merger.Stop();
+    for (auto& caller : callers) {
+      ASSERT_EQ(caller.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready)
+          << "FetchAndMerge caller still blocked after Stop()";
+      const Status status = caller.get();
+      EXPECT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable)
+          << status.ToString();
+    }
+    EXPECT_LT(ElapsedMs(start), 5000);
+    EXPECT_EQ(merger.pending_node_count(), 0u);
+    // Drained tasks are cancellations, not fetch failures.
+    EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 0u);
+    // A caller arriving after Stop() fails fast.
+    EXPECT_EQ(merger.FetchAndMerge(0, locations).status().code(),
+              StatusCode::kUnavailable);
   }
 
   static size_t Drain(mr::RecordStream& stream) {
@@ -148,45 +194,54 @@ TEST_P(FetchRobustnessTest, DeadlineExpiryLeavesCompleteTraceTimeline) {
 }
 
 TEST_P(FetchRobustnessTest, StopUnblocksEveryFetchAndMergeCaller) {
-  auto locations = MakeSuppliers(1);
-  // Every receive hangs forever and no deadlines are configured: without
-  // cancellation, all callers would block indefinitely.
-  flaky_->BlackholeNextReceives(1000);
+  StopUnblocksEveryCaller(/*consolidate=*/true);
+}
+
+TEST_P(FetchRobustnessTest, StopUnblocksCallersWithoutConsolidation) {
+  // The ablation's per-fetch connections go through the connection
+  // manager too, so Stop() wakes a conversation parked on one the same way.
+  StopUnblocksEveryCaller(/*consolidate=*/false);
+}
+
+TEST_P(FetchRobustnessTest, BackoffDoesNotHoldTheDataThread) {
+  // One data thread, two nodes, and the first dial fails. The failed fetch
+  // waits out its backoff in its node's queue, so the lone thread serves
+  // the other node meanwhile instead of sleeping.
+  auto locations = MakeSuppliers(2);
+  flaky_->FailNextConnects(1);
   auto options = BaseOptions();
-  options.data_threads = 2;
-  options.max_fetch_attempts = 2;
+  options.data_threads = 1;
+  options.retry_backoff_ms = 2000;  // jittered into [1000, 2000] ms
+  options.max_retry_backoff_ms = 2000;
   shuffle::NetMerger merger(options);
+  auto stream = merger.FetchAndMerge(0, locations);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_EQ(Drain(**stream), 400u);
+  EXPECT_EQ(SumMetric(merger.metrics(), "jbs_netmerger_fetch_retries_total"),
+            1u);
 
-  constexpr int kCallers = 4;
-  std::vector<std::future<Status>> callers;
-  callers.reserve(kCallers);
-  for (int i = 0; i < kCallers; ++i) {
-    callers.push_back(std::async(std::launch::async, [&] {
-      return merger.FetchAndMerge(0, locations).status();
-    }));
+  // Fetch ids are 1 and 2 in the merger's private recorder: one retried,
+  // the other merged while that retry was waiting.
+  std::optional<int64_t> retry_us;
+  std::optional<int64_t> other_merged_us;
+  for (const uint64_t id : {1u, 2u}) {
+    std::optional<int64_t> retry;
+    std::optional<int64_t> merged;
+    for (const auto& entry : merger.trace().ForFetch(id)) {
+      if (entry.event == TraceEvent::kRetry) retry = entry.t_us;
+      if (entry.event == TraceEvent::kMerged) merged = entry.t_us;
+    }
+    if (retry) {
+      retry_us = retry;
+    } else {
+      other_merged_us = merged;
+    }
   }
-  // Let some callers get in flight (parked in the blackhole) and the rest
-  // queue behind them on the single node.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-
-  const auto start = Clock::now();
+  ASSERT_TRUE(retry_us.has_value());
+  ASSERT_TRUE(other_merged_us.has_value());
+  EXPECT_LT(*other_merged_us - *retry_us, 500 * 1000)
+      << "the other node's segment waited out the backoff";
   merger.Stop();
-  for (auto& caller : callers) {
-    ASSERT_EQ(caller.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready)
-        << "FetchAndMerge caller still blocked after Stop()";
-    const Status status = caller.get();
-    EXPECT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
-        << status.ToString();
-  }
-  EXPECT_LT(ElapsedMs(start), 5000);
-  EXPECT_EQ(merger.pending_node_count(), 0u);
-  // Drained tasks are cancellations, not fetch failures.
-  EXPECT_EQ(SumMetric(merger.metrics(), "shuffle_fetch_errors_total"), 0u);
-  // A caller arriving after Stop() fails fast.
-  EXPECT_EQ(merger.FetchAndMerge(0, locations).status().code(),
-            StatusCode::kUnavailable);
 }
 
 TEST_P(FetchRobustnessTest, ConnectTimeoutBoundsDial) {

@@ -348,6 +348,21 @@ TEST_F(MofSupplierTest, RejectsBufferTooSmallForChunkHeader) {
   }
 }
 
+TEST_F(MofSupplierTest, RejectsDataCacheLargerThanPhysicalMemory) {
+  // 1 TiB x 1024 fits size_t but no host's memory. The constructor must
+  // not attempt the arena (new[] would throw std::bad_alloc out of it);
+  // Start() reports the sizing instead.
+  MofSupplier::Options options;
+  options.transport = transport_.get();
+  options.buffer_size = size_t{1} << 40;
+  options.buffer_count = 1024;
+  MofSupplier supplier(options);
+  const size_t threads_before = ThreadCount();
+  const Status st = supplier.Start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(ThreadCount(), threads_before);
+}
+
 TEST_F(MofSupplierTest, StopUnderLoadJoinsThreadsAndReturnsBuffers) {
   // A client that queues far more chunk requests than there are DataCache
   // buffers and never reads: socket buffers fill, unsent frames pin every

@@ -181,6 +181,22 @@ TEST(PluginConfigTest, TableCoversEveryParserKey) {
   EXPECT_EQ(table, std::set<std::string>(keys.begin(), keys.end()));
 }
 
+TEST(PluginConfigTest, DataCacheLargerThanPhysicalMemoryIsRejected) {
+  // Each key is in range on its own; their product (1 PiB) is the arena
+  // the supplier would allocate, so the pair is rejected by name.
+  Config conf;
+  conf.Set(conf::kTransportBufferSize, "1TB");
+  conf.Set(conf::kTransportBufferCount, "1024");
+  auto parsed = JbsShufflePlugin::OptionsFromConfig(conf);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = parsed.status().message();
+  EXPECT_NE(message.find(conf::kTransportBufferSize), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(conf::kTransportBufferCount), std::string::npos)
+      << message;
+}
+
 // ---- Bad values and unknown keys are rejected ------------------------------
 
 struct BadCase {

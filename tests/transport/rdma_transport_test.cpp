@@ -50,6 +50,35 @@ TEST(RdmaTransportTest, FrameLargerThanBufferRejected) {
   (*server)->Stop();
 }
 
+TEST(RdmaTransportTest, OversizedReceiveRingFailsDialAndAccept) {
+  // 1 TiB x 1024 receive buffers fit size_t but no host's memory. Neither
+  // side may attempt that arena: the dialer returns an error, and the
+  // acceptor rejects the request so the dialer fails instead of hanging.
+  RdmaTransportOptions huge;
+  huge.buffer_size = size_t{1} << 40;
+  huge.buffers_per_connection = 1024;
+  auto normal = MakeSoftRdmaTransport();
+  auto oversized = MakeSoftRdmaTransport(huge);
+
+  auto server = normal->CreateServer();
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start({}).ok());
+  auto dial = oversized->Connect("127.0.0.1", (*server)->port());
+  ASSERT_FALSE(dial.ok());
+  EXPECT_EQ(dial.status().code(), StatusCode::kInvalidArgument);
+  (*server)->Stop();
+
+  auto big_server = oversized->CreateServer();
+  ASSERT_TRUE(big_server.ok());
+  ASSERT_TRUE((*big_server)->Start({}).ok());
+  auto rejected = normal->Connect("127.0.0.1", (*big_server)->port(),
+                                  Deadline::AfterMs(5000));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable)
+      << rejected.status().ToString();
+  (*big_server)->Stop();
+}
+
 TEST(RdmaTransportTest, ManySmallFramesBothDirections) {
   RdmaTransportOptions options;
   options.buffer_size = 4096;
